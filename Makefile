@@ -91,4 +91,4 @@ go-bench:
 
 # The ENGINE_BENCH entry in EXPERIMENTS.md.
 engine-bench:
-	$(GO) test -run='^$$' -bench='Engine|Count' -benchtime=3x ./internal/engine/ ./internal/faultsim/
+	$(GO) test -run='^$$' -bench='Engine|RunParallel' -benchtime=3x ./internal/engine/ ./internal/faultsim/

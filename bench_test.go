@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/bitsim"
+	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/diagnose"
 	"repro/internal/experiments"
@@ -94,7 +95,7 @@ func BenchmarkTable3And4Basic(b *testing.B) {
 			var detected, tests int
 			for i := 0; i < b.N; i++ {
 				res := core.Generate(d.Circuit, d.P0, core.Config{Heuristic: h, Seed: benchParams.Seed})
-				detected, tests = res.DetectedCount, len(res.Tests)
+				detected, tests = res.DetectedCounts[0], len(res.Tests)
 			}
 			b.ReportMetric(float64(detected), "P0-detected")
 			b.ReportMetric(float64(tests), "tests")
@@ -111,7 +112,7 @@ func BenchmarkTable5Simulation(b *testing.B) {
 	var detected int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		detected = faultsim.Count(d.Circuit, res.Tests, all)
+		detected = count(b, d.Circuit, res.Tests, all)
 	}
 	b.ReportMetric(float64(detected), "P0P1-detected")
 	b.ReportMetric(float64(len(all)), "P0P1-faults")
@@ -124,8 +125,8 @@ func BenchmarkTable6Enrichment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		er := core.Enrich(d.Circuit, d.P0, d.P1, core.Config{Seed: benchParams.Seed})
 		tests = len(er.Tests)
-		p0det = er.DetectedP0Count
-		alldet = er.DetectedP0Count + er.DetectedP1Count
+		p0det = er.DetectedCounts[0]
+		alldet = er.DetectedCounts[0] + er.DetectedCounts[1]
 	}
 	b.ReportMetric(float64(tests), "tests")
 	b.ReportMetric(float64(p0det), "P0-detected")
@@ -214,7 +215,7 @@ func BenchmarkAblationCheapAccept(b *testing.B) {
 					Heuristic: core.ValueBased, Seed: benchParams.Seed,
 					DisableCheapAccept: disable,
 				})
-				detected = res.DetectedCount
+				detected = res.DetectedCounts[0]
 			}
 			b.ReportMetric(float64(detected), "P0-detected")
 		})
@@ -262,7 +263,7 @@ func BenchmarkAblationImplicationSeed(b *testing.B) {
 					Heuristic: core.ValueBased, Seed: benchParams.Seed,
 					Justify: justify.Config{DisableImplicationSeed: disable},
 				})
-				detected = res.DetectedCount
+				detected = res.DetectedCounts[0]
 			}
 			b.ReportMetric(float64(detected), "P0-detected")
 		})
@@ -282,7 +283,7 @@ func BenchmarkAblationMultiSubset(b *testing.B) {
 		var det int
 		for i := 0; i < b.N; i++ {
 			er := core.Enrich(d.Circuit, d.P0, d.P1, core.Config{Seed: benchParams.Seed})
-			det = er.DetectedP0Count + er.DetectedP1Count
+			det = er.DetectedCounts[0] + er.DetectedCounts[1]
 		}
 		b.ReportMetric(float64(det), "detected")
 	})
@@ -367,30 +368,27 @@ func BenchmarkSynthGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkBitParallelFaultSimulation compares the scalar and the
-// 64-way word-parallel fault simulators on the same workload.
+// BenchmarkBitParallelFaultSimulation measures the 64-way
+// word-parallel fault simulator on a generated test set.
 func BenchmarkBitParallelFaultSimulation(b *testing.B) {
 	d := prep(b, "b09")
 	all := d.All()
 	res := core.Generate(d.Circuit, d.P0, core.Config{Heuristic: core.ValueBased, Seed: benchParams.Seed})
-	b.Run("scalar", func(b *testing.B) {
-		var n int
-		for i := 0; i < b.N; i++ {
-			n = faultsim.Count(d.Circuit, res.Tests, all)
-		}
-		b.ReportMetric(float64(n), "detected")
-	})
-	b.Run("word-parallel", func(b *testing.B) {
-		var n int
-		for i := 0; i < b.N; i++ {
-			var err error
-			n, err = bitsim.Count(d.Circuit, res.Tests, all)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(n), "detected")
-	})
+	b.ResetTimer()
+	var n int
+	for i := 0; i < b.N; i++ {
+		n = count(b, d.Circuit, res.Tests, all)
+	}
+	b.ReportMetric(float64(n), "detected")
+}
+
+// count is the number of faults of fcs the tests detect.
+func count(b *testing.B, c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) int {
+	n, err := bitsim.Count(c, tests, fcs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return n
 }
 
 // BenchmarkAblationBnBBackend compares the randomized simulation-based
@@ -410,7 +408,7 @@ func BenchmarkAblationBnBBackend(b *testing.B) {
 				res := core.Generate(d.Circuit, d.P0, core.Config{
 					Heuristic: core.ValueBased, Seed: benchParams.Seed, UseBnB: useBnB,
 				})
-				detected = res.DetectedCount
+				detected = res.DetectedCounts[0]
 			}
 			b.ReportMetric(float64(detected), "P0-detected")
 		})
@@ -554,7 +552,7 @@ func BenchmarkAblationCollapse(b *testing.B) {
 		var cov int
 		for i := 0; i < b.N; i++ {
 			res := core.Generate(d.Circuit, d.P0, core.Config{Heuristic: core.ValueBased, Seed: 1})
-			cov = faultsim.Count(d.Circuit, res.Tests, d.P0)
+			cov = count(b, d.Circuit, res.Tests, d.P0)
 		}
 		b.ReportMetric(float64(cov), "P0-covered")
 		b.ReportMetric(float64(len(d.P0)), "targets")
@@ -563,7 +561,7 @@ func BenchmarkAblationCollapse(b *testing.B) {
 		var cov int
 		for i := 0; i < b.N; i++ {
 			res := core.Generate(d.Circuit, repSet, core.Config{Heuristic: core.ValueBased, Seed: 1})
-			cov = faultsim.Count(d.Circuit, res.Tests, d.P0)
+			cov = count(b, d.Circuit, res.Tests, d.P0)
 		}
 		b.ReportMetric(float64(cov), "P0-covered")
 		b.ReportMetric(float64(len(repSet)), "targets")

@@ -64,7 +64,7 @@ func main() {
 		}
 		er := core.Enrich(c, p0, p1, core.Config{Seed: 1})
 		fmt.Printf("  enrichment: %d tests, P0 %d/%d, P0∪P1 %d/%d\n\n",
-			len(er.Tests), er.DetectedP0Count, len(p0),
-			er.DetectedP0Count+er.DetectedP1Count, len(p0)+len(p1))
+			len(er.Tests), er.DetectedCounts[0], len(p0),
+			er.DetectedCounts[0]+er.DetectedCounts[1], len(p0)+len(p1))
 	}
 }

@@ -13,9 +13,9 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/bitsim"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/faultsim"
 )
 
 func main() {
@@ -34,18 +34,21 @@ func main() {
 	// Basic compact test set for P0 only.
 	basic := core.Generate(d.Circuit, d.P0, core.Config{Heuristic: core.ValueBased, Seed: p.Seed})
 	all := d.All()
-	accidental := faultsim.Count(d.Circuit, basic.Tests, all)
+	accidental, err := bitsim.Count(d.Circuit, basic.Tests, all)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("basic value-based procedure (targets P0 only):\n")
-	fmt.Printf("  %4d tests, P0 detected %d/%d\n", len(basic.Tests), basic.DetectedCount, len(d.P0))
+	fmt.Printf("  %4d tests, P0 detected %d/%d\n", len(basic.Tests), basic.DetectedCounts[0], len(d.P0))
 	fmt.Printf("  P0∪P1 detected (accidental): %d/%d\n\n", accidental, len(all))
 
 	// Enrichment: same P0 objective, P1 detected "for free".
 	er := core.Enrich(d.Circuit, d.P0, d.P1, core.Config{Seed: p.Seed})
 	fmt.Printf("enrichment procedure (targets P0, opportunistically P1):\n")
-	fmt.Printf("  %4d tests, P0 detected %d/%d\n", len(er.Tests), er.DetectedP0Count, len(d.P0))
-	fmt.Printf("  P0∪P1 detected: %d/%d\n\n", er.DetectedP0Count+er.DetectedP1Count, len(all))
+	fmt.Printf("  %4d tests, P0 detected %d/%d\n", len(er.Tests), er.DetectedCounts[0], len(d.P0))
+	fmt.Printf("  P0∪P1 detected: %d/%d\n\n", er.DetectedCounts[0]+er.DetectedCounts[1], len(all))
 
-	extra := er.DetectedP0Count + er.DetectedP1Count - accidental
+	extra := er.DetectedCounts[0] + er.DetectedCounts[1] - accidental
 	fmt.Printf("=> %d additional faults detected with %+d tests\n",
 		extra, len(er.Tests)-len(basic.Tests))
 }

@@ -31,7 +31,7 @@ func main() {
 	for _, h := range core.Heuristics {
 		res := core.Generate(d.Circuit, d.P0, core.Config{Heuristic: h, Seed: p.Seed})
 		fmt.Printf("%-8s %6d/%3d %8d %12d %12v\n",
-			h, res.DetectedCount, len(d.P0), len(res.Tests), res.SecondaryAccepts,
+			h, res.DetectedCounts[0], len(d.P0), len(res.Tests), res.SecondaryAccepts,
 			res.Elapsed.Round(1000000))
 	}
 	fmt.Println("\nAll three compaction orders should detect about as many faults as")

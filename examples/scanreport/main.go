@@ -43,8 +43,8 @@ func main() {
 	}
 	er := core.Enrich(c, d.P0, d.P1, core.Config{Seed: 1})
 	fmt.Printf("enrichment: %d tests, P0 %d/%d, P0∪P1 %d/%d (enhanced-scan assumption)\n\n",
-		len(er.Tests), er.DetectedP0Count, len(d.P0),
-		er.DetectedP0Count+er.DetectedP1Count, len(d.P0)+len(d.P1))
+		len(er.Tests), er.DetectedCounts[0], len(d.P0),
+		er.DetectedCounts[0]+er.DetectedCounts[1], len(d.P0)+len(d.P1))
 
 	stats, err := scan.Analyze(c, st, er.Tests, scan.Options{})
 	if err != nil {

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,25 +99,28 @@ func TestFullPipelineFromBenchFile(t *testing.T) {
 				t.Fatalf("test set round trip lost tests: %d vs %d", len(loaded), len(er.Tests))
 			}
 
-			// 6. Fault simulate the loaded tests with both simulators;
+			// 6. Fault simulate the loaded tests serially and sharded;
 			// coverage must match the generation run's claim.
 			all := d.All()
-			scalar := faultsim.Count(c, loaded, all)
-			parallel, err := bitsim.Count(c, loaded, all)
+			serial, err := bitsim.Count(c, loaded, all)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if scalar != parallel {
-				t.Fatalf("simulators disagree: %d vs %d", scalar, parallel)
+			sharded, err := faultsim.CountParallel(context.Background(), c, loaded, all, 4)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if want := er.DetectedP0Count + er.DetectedP1Count; scalar != want {
-				t.Fatalf("reloaded tests detect %d, generation claimed %d", scalar, want)
+			if serial != sharded {
+				t.Fatalf("serial and sharded simulation disagree: %d vs %d", serial, sharded)
+			}
+			if want := er.DetectedCounts[0] + er.DetectedCounts[1]; serial != want {
+				t.Fatalf("reloaded tests detect %d, generation claimed %d", serial, want)
 			}
 
 			// 7. Validate one detection in the timing domain.
 			var validated bool
 			for i := range d.P0 {
-				if !er.DetectedP0[i] {
+				if !er.Detected[0][i] {
 					continue
 				}
 				j := justify.New(c, justify.Config{Seed: 5})

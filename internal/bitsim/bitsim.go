@@ -1,13 +1,14 @@
-// Package bitsim performs word-parallel three-plane simulation: up to
-// 64 two-pattern tests are simulated through the circuit at once using
-// bitwise operations, one bit position per test.
+// Package bitsim is the fault-simulation kernel: up to 64 two-pattern
+// tests are simulated through the circuit at once using bitwise
+// operations, one bit position per test.
 //
 // Values are dual-rail encoded per plane: bit i of H is set when test
 // i drives the net to 1, bit i of L when it drives it to 0; neither
-// bit set means x (only possible on the intermediate plane for fully
-// specified tests). This gives a ~64× throughput improvement for fault
-// simulation over large test sets — the dominant cost of Table 5-style
-// experiments — with results bit-identical to the scalar simulator.
+// bit set means x. Each gate evaluates the planes exactly as the
+// scalar three-valued (Kleene) logic of package tval does, so tests
+// may carry x on any input and every value matches
+// circuit.TwoPattern.Simulate. Run is the serial first-detect scan;
+// faultsim.RunParallel shards the same batches across workers.
 package bitsim
 
 import (
@@ -31,10 +32,14 @@ type Batch struct {
 	h, l [circuit.NumPlanes][]uint64
 }
 
-// Simulate simulates up to 64 fully specified tests in one pass.
+// Simulate simulates up to 64 tests in one pass. Every test must
+// assign one value (0, 1 or x) per primary input in both patterns.
 func Simulate(c *circuit.Circuit, tests []circuit.TwoPattern) (*Batch, error) {
 	if len(tests) == 0 || len(tests) > WordSize {
 		return nil, fmt.Errorf("bitsim: batch of %d tests (want 1..%d)", len(tests), WordSize)
+	}
+	if err := checkLengths(c, tests); err != nil {
+		return nil, err
 	}
 	b := &Batch{c: c, n: len(tests)}
 	for p := 0; p < circuit.NumPlanes; p++ {
@@ -42,9 +47,6 @@ func Simulate(c *circuit.Circuit, tests []circuit.TwoPattern) (*Batch, error) {
 		b.l[p] = make([]uint64, len(c.Lines))
 	}
 	for ti, tp := range tests {
-		if !tp.FullySpecified() {
-			return nil, fmt.Errorf("bitsim: test %d not fully specified", ti)
-		}
 		bit := uint64(1) << uint(ti)
 		for i, pi := range c.PIs {
 			set(b, 0, pi, tp.P1[i], bit)
@@ -61,6 +63,18 @@ func Simulate(c *circuit.Circuit, tests []circuit.TwoPattern) (*Batch, error) {
 		}
 	}
 	return b, nil
+}
+
+// checkLengths reports the first test whose patterns do not match the
+// circuit's input count.
+func checkLengths(c *circuit.Circuit, tests []circuit.TwoPattern) error {
+	for ti, tp := range tests {
+		if len(tp.P1) != len(c.PIs) || len(tp.P3) != len(c.PIs) {
+			return fmt.Errorf("bitsim: test %d has %d/%d input values, want %d",
+				ti, len(tp.P1), len(tp.P3), len(c.PIs))
+		}
+	}
+	return nil
 }
 
 func set(b *Batch, plane, net int, v tval.V, bit uint64) {
@@ -168,20 +182,21 @@ func batchMask(n int) uint64 {
 	return (uint64(1) << uint(n)) - 1
 }
 
-// Run is the word-parallel equivalent of faultsim.Run: it returns, for
-// each fault, the index of the first detecting test, or -1.
+// Run returns, for each fault, the index of the first detecting test,
+// or -1. Detected faults are skipped in later batches, and the scan
+// stops once every fault is detected. All tests are length-checked up
+// front, so a malformed test is reported even past that point.
 func Run(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) ([]int, error) {
+	if err := checkLengths(c, tests); err != nil {
+		return nil, err
+	}
 	firstDet := make([]int, len(fcs))
 	for i := range firstDet {
 		firstDet[i] = -1
 	}
 	remaining := len(fcs)
 	for base := 0; base < len(tests) && remaining > 0; base += WordSize {
-		end := base + WordSize
-		if end > len(tests) {
-			end = len(tests)
-		}
-		b, err := Simulate(c, tests[base:end])
+		b, err := Simulate(c, tests[base:min(base+WordSize, len(tests))])
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +205,7 @@ func Run(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultCondi
 				continue
 			}
 			if mask := b.Detects(&fcs[fi]); mask != 0 {
-				firstDet[fi] = base + lowestBit(mask)
+				firstDet[fi] = base + bits.TrailingZeros64(mask)
 				remaining--
 			}
 		}
@@ -212,5 +227,3 @@ func Count(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultCon
 	}
 	return n, nil
 }
-
-func lowestBit(x uint64) int { return bits.TrailingZeros64(x) }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/circuit"
-	"repro/internal/faultsim"
 	"repro/internal/justify"
 	"repro/internal/pathenum"
 	"repro/internal/robust"
@@ -15,6 +14,15 @@ import (
 )
 
 func randomTests(c *circuit.Circuit, r *rand.Rand, n int) []circuit.TwoPattern {
+	return randomValueTests(c, r, n, 2)
+}
+
+// randomXTests draws every input value from 0, 1 and x.
+func randomXTests(c *circuit.Circuit, r *rand.Rand, n int) []circuit.TwoPattern {
+	return randomValueTests(c, r, n, 3)
+}
+
+func randomValueTests(c *circuit.Circuit, r *rand.Rand, n, values int) []circuit.TwoPattern {
 	out := make([]circuit.TwoPattern, n)
 	for i := range out {
 		out[i] = circuit.TwoPattern{
@@ -22,42 +30,61 @@ func randomTests(c *circuit.Circuit, r *rand.Rand, n int) []circuit.TwoPattern {
 			P3: make([]tval.V, len(c.PIs)),
 		}
 		for k := range out[i].P1 {
-			out[i].P1[k] = tval.V(r.Intn(2))
-			out[i].P3[k] = tval.V(r.Intn(2))
+			out[i].P1[k] = tval.V(r.Intn(values))
+			out[i].P3[k] = tval.V(r.Intn(values))
 		}
 	}
 	return out
 }
 
-func TestBatchMatchesScalarSimulation(t *testing.T) {
-	for _, name := range []string{"s27", "b03", "s1196"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			var c *circuit.Circuit
-			if name == "s27" {
-				c = bench.S27()
-			} else {
-				c = synth.MustGenerate(synth.BenchmarkProfiles[name])
-			}
-			r := rand.New(rand.NewSource(3))
-			tests := randomTests(c, r, 64)
-			b, err := Simulate(c, tests)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for ti, tp := range tests {
-				want := tp.Simulate(c)
-				for id := range c.Lines {
-					for p := 0; p < circuit.NumPlanes; p++ {
-						if got := b.Value(id, p, ti); got != want[id].At(p) {
-							t.Fatalf("test %d line %s plane %d: bitsim %v, scalar %v",
-								ti, c.Lines[id].Name, p, got, want[id].At(p))
-						}
-					}
+// checkValues compares every line and plane of the batch with the
+// scalar simulation of each test.
+func checkValues(t *testing.T, c *circuit.Circuit, tests []circuit.TwoPattern) {
+	t.Helper()
+	b, err := Simulate(c, tests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti, tp := range tests {
+		want := tp.Simulate(c)
+		for id := range c.Lines {
+			for p := 0; p < circuit.NumPlanes; p++ {
+				if got := b.Value(id, p, ti); got != want[id].At(p) {
+					t.Fatalf("test %s line %s plane %d: bitsim %v, scalar %v",
+						tp, c.Lines[id].Name, p, got, want[id].At(p))
 				}
 			}
+		}
+	}
+}
+
+// TestBatchMatchesScalarSimulation checks the dual-rail planes against
+// the scalar three-valued simulation on the embedded circuits and
+// every synth profile, with fully specified and x-bearing tests.
+func TestBatchMatchesScalarSimulation(t *testing.T) {
+	circuits := []*circuit.Circuit{bench.S27(), bench.C17()}
+	for _, name := range synth.ProfileNames() {
+		circuits = append(circuits, synth.MustGenerate(synth.BenchmarkProfiles[name]))
+	}
+	for _, c := range circuits {
+		t.Run(c.Name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(3))
+			checkValues(t, c, randomTests(c, r, 64))
+			checkValues(t, c, randomXTests(c, r, 64))
 		})
 	}
+}
+
+// detectsScalar is the scalar detection check: the test's simulation
+// covers one of the fault's alternatives.
+func detectsScalar(c *circuit.Circuit, tp circuit.TwoPattern, fc *robust.FaultConditions) bool {
+	sim := tp.Simulate(c)
+	for i := range fc.Alts {
+		if fc.Alts[i].CoveredBy(sim) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestCoversMatchesScalar(t *testing.T) {
@@ -68,7 +95,7 @@ func TestCoversMatchesScalar(t *testing.T) {
 	}
 	kept, _ := robust.Screen(c, res.Faults)
 	r := rand.New(rand.NewSource(7))
-	tests := randomTests(c, r, 64)
+	tests := append(randomTests(c, r, 32), randomXTests(c, r, 32)...)
 	b, err := Simulate(c, tests)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +103,7 @@ func TestCoversMatchesScalar(t *testing.T) {
 	for i := range kept {
 		mask := b.Detects(&kept[i])
 		for ti, tp := range tests {
-			scalar := faultsim.Detects(c, tp, &kept[i])
+			scalar := detectsScalar(c, tp, &kept[i])
 			parallel := mask&(1<<uint(ti)) != 0
 			if scalar != parallel {
 				t.Fatalf("fault %s test %d: scalar %v, parallel %v",
@@ -107,7 +134,18 @@ func TestRunMatchesScalarRun(t *testing.T) {
 			tests = append(tests, tp)
 		}
 	}
-	scalar := faultsim.Run(c, tests, kept)
+	// The scalar reference: each test simulated on its own, each fault
+	// kept at its first detection.
+	scalar := make([]int, len(kept))
+	for i := range kept {
+		scalar[i] = -1
+		for ti, tp := range tests {
+			if detectsScalar(c, tp, &kept[i]) {
+				scalar[i] = ti
+				break
+			}
+		}
+	}
 	parallel, err := Run(c, tests, kept)
 	if err != nil {
 		t.Fatal(err)
@@ -145,10 +183,26 @@ func TestSimulateErrors(t *testing.T) {
 	if _, err := Simulate(c, randomTests(c, r, 65)); err == nil {
 		t.Error("oversized batch must be rejected")
 	}
-	bad := randomTests(c, r, 1)
-	bad[0].P1[0] = tval.X
-	if _, err := Simulate(c, bad); err == nil {
-		t.Error("partial test must be rejected")
+	// A test carrying x is simulated, not rejected, and matches the
+	// scalar simulation.
+	partial := randomTests(c, r, 2)
+	partial[0].P1[0] = tval.X
+	partial[1].P3[len(c.PIs)-1] = tval.X
+	checkValues(t, c, partial)
+	// A pattern of the wrong length is an error, not an out-of-range
+	// read or a silently ignored value.
+	short := randomTests(c, r, 2)
+	short[1].P1 = short[1].P1[:len(c.PIs)-1]
+	if _, err := Simulate(c, short); err == nil {
+		t.Error("short pattern must be rejected")
+	}
+	long := randomTests(c, r, 2)
+	long[0].P3 = append(long[0].P3, tval.One)
+	if _, err := Simulate(c, long); err == nil {
+		t.Error("long pattern must be rejected")
+	}
+	if _, err := Run(c, long, nil); err == nil {
+		t.Error("Run must reject a long pattern")
 	}
 }
 

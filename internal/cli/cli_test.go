@@ -601,3 +601,31 @@ func TestPDFBenchList(t *testing.T) {
 		}
 	}
 }
+
+// Tests may leave inputs unspecified; pdfsim simulates them with the
+// same kernel for every -workers value, so the output is identical.
+func TestPDFSimXTestsAnyWorkers(t *testing.T) {
+	testsFile := filepath.Join(t.TempDir(), "tests.txt")
+	// The second test leaves inputs 6 and 7 open and still robustly
+	// detects the rising fault on 1 -> 10 -> 22.
+	tests := "1x011 -> 10110\n001xx -> 101xx\nx1x1x -> 10101\n01010 -> 0x011\n"
+	if err := os.WriteFile(testsFile, []byte(tests), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var outs []string
+	for _, workers := range []string{"1", "2"} {
+		out, _, err := run(t, func(a []string, o, e *bytes.Buffer) error {
+			return PDFSim(a, o, e)
+		}, "-profile", "c17", "-tests", testsFile, "-workers", workers, "-v")
+		if err != nil {
+			t.Fatalf("-workers %s: %v", workers, err)
+		}
+		outs = append(outs, out)
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("-workers 1 and 2 differ:\n%s\n---\n%s", outs[0], outs[1])
+	}
+	if !strings.Contains(outs[0], "detected by t1") {
+		t.Errorf("no detection reported:\n%s", outs[0])
+	}
+}

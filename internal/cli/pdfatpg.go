@@ -117,8 +117,12 @@ func PDFATPG(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
+		rp, err := report.Build(c, r.TestPatterns, d.All())
+		if err != nil {
+			return err
+		}
 		fmt.Fprintln(stdout)
-		report.Build(c, r.TestPatterns, d.All()).Render(stdout)
+		rp.Render(stdout)
 	}
 	return writeTestsFile(stdout, *testsOut, r.TestPatterns)
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/bitsim"
 	"repro/internal/faults"
 	"repro/internal/faultsim"
 	"repro/internal/pathenum"
@@ -66,14 +65,7 @@ func PDFSim(args []string, stdout, stderr io.Writer) error {
 		fls = res.Faults
 	}
 	kept, eliminated := robust.Screen(c, fls)
-	var first []int
-	if *workers > 1 {
-		// Sharded scalar simulation; byte-identical to the serial and
-		// word-parallel paths.
-		first, err = faultsim.RunParallel(context.Background(), c, tests, kept, *workers)
-	} else {
-		first, err = bitsim.Run(c, tests, kept)
-	}
+	first, err := faultsim.RunParallel(context.Background(), c, tests, kept, *workers)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,9 @@
 // The enrichment procedure runs the same loop with two target sets:
 // primaries come only from P0; secondaries come from P0 first and,
 // only when P0 is exhausted, from P1. Faults in P1 are therefore
-// detected without increasing the number of tests.
+// detected without increasing the number of tests. Generate, Enrich
+// and EnrichK are that one loop over k = 1, 2 or any number of target
+// sets, and all report the same Result.
 package core
 
 import (
@@ -98,22 +100,25 @@ type Config struct {
 	BnB justify.BnBConfig
 }
 
-// Result reports a run of the basic procedure over one target set.
+// Result reports a generation run over k target sets: the basic
+// procedure (Generate, k = 1) or the enrichment procedure (Enrich,
+// k = 2; EnrichK, any k).
 type Result struct {
 	Tests []circuit.TwoPattern
-	// Detected[i] reports whether target fault i was detected.
-	Detected []bool
-	// DetectedCount is the number of detected target faults.
-	DetectedCount int
+	// Detected[s][i] reports whether fault i of target set s was
+	// detected.
+	Detected [][]bool
+	// DetectedCounts[s] is the number of detected faults of set s.
+	DetectedCounts []int
 	// PrimaryAborts counts primary targets whose justification failed.
 	PrimaryAborts int
 	// SecondaryAccepts / SecondaryRejects count secondary target
 	// outcomes (CheapAccepts included in accepts).
 	SecondaryAccepts, SecondaryRejects, CheapAccepts int
 	// SecondaryAcceptsBySet / SecondaryRejectsBySet split the
-	// secondary outcomes by the target set (phase) the candidate came
-	// from: index s counts candidates of sets[s] in EnrichK terms
-	// (Generate runs a single set, so only index 0 is populated).
+	// secondary outcomes by the target set the candidate came from:
+	// index s counts candidates of set s (for Enrich, P0 and P1 — the
+	// counters the paper's Table 6 discussion argues about).
 	SecondaryAcceptsBySet, SecondaryRejectsBySet []int
 	// RegenPerTest[t] counts the test regenerations of test t: each
 	// accepted secondary whose conditions were not already covered
@@ -126,15 +131,9 @@ type Result struct {
 	JustifyStats justify.Stats
 }
 
-// ensureSets sizes the per-set tallies for k target sets.
-func (r *Result) ensureSets(k int) {
-	for len(r.SecondaryAcceptsBySet) < k {
-		r.SecondaryAcceptsBySet = append(r.SecondaryAcceptsBySet, 0)
-	}
-	for len(r.SecondaryRejectsBySet) < k {
-		r.SecondaryRejectsBySet = append(r.SecondaryRejectsBySet, 0)
-	}
-}
+// EnrichResult is the name Enrich and EnrichCtx return their Result
+// under; it is an alias so that code naming it keeps compiling.
+type EnrichResult = Result
 
 // backend abstracts the two justification procedures.
 type backend interface {
@@ -164,23 +163,26 @@ func (b bnbBackend) stats() justify.Stats {
 type generator struct {
 	c        *circuit.Circuit
 	cfg      Config
-	ctx      context.Context // nil means never canceled
-	rng      *rand.Rand
+	ctx      context.Context
 	just     backend
-	faults   []robust.FaultConditions
+	faults   []robust.FaultConditions // the k target sets, concatenated
+	setOf    []int                    // setOf[i] is the target set of fault i
 	detected []bool
 	tried    []bool
-	arbOrder []int // iteration order for Arbitrary
+	// order is the fault iteration order for primary and secondary
+	// picks: a seeded shuffle for Arbitrary, fault-list order
+	// otherwise.
+	order []int
 }
 
 // canceled reports whether the run's context has been canceled; the
-// generation loops poll it between primary targets and between
+// generation loop polls it between primary targets and between
 // secondary candidates.
 func (g *generator) canceled() bool {
-	return g.ctx != nil && g.ctx.Err() != nil
+	return g.ctx.Err() != nil
 }
 
-func newGenerator(c *circuit.Circuit, fcs []robust.FaultConditions, cfg Config) *generator {
+func newGenerator(ctx context.Context, c *circuit.Circuit, sets [][]robust.FaultConditions, cfg Config) *generator {
 	var be backend
 	if cfg.UseBnB {
 		be = bnbBackend{justify.NewBnB(c, cfg.BnB)}
@@ -190,15 +192,26 @@ func newGenerator(c *circuit.Circuit, fcs []robust.FaultConditions, cfg Config) 
 		be = randomizedBackend{justify.New(c, jcfg)}
 	}
 	g := &generator{
-		c:        c,
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		just:     be,
-		faults:   fcs,
-		detected: make([]bool, len(fcs)),
-		tried:    make([]bool, len(fcs)),
+		c:    c,
+		cfg:  cfg,
+		ctx:  ctx,
+		just: be,
 	}
-	g.arbOrder = g.rng.Perm(len(fcs))
+	for s, set := range sets {
+		g.faults = append(g.faults, set...)
+		for range set {
+			g.setOf = append(g.setOf, s)
+		}
+	}
+	g.detected = make([]bool, len(g.faults))
+	g.tried = make([]bool, len(g.faults))
+	// The shuffle is drawn for every heuristic; only Arbitrary keeps it.
+	g.order = rand.New(rand.NewSource(cfg.Seed)).Perm(len(g.faults))
+	if cfg.Heuristic != Arbitrary {
+		for i := range g.order {
+			g.order[i] = i
+		}
+	}
 	return g
 }
 
@@ -212,18 +225,31 @@ func Generate(c *circuit.Circuit, fcs []robust.FaultConditions, cfg Config) *Res
 // GenerateCtx is Generate under a context: the run stops promptly when
 // ctx is canceled, returning the partial result together with
 // ctx.Err(). Cancellation is observed between primary targets and
-// between secondary candidates.
+// between secondary candidates. It is the k = 1 case of the generation
+// loop EnrichKCtx runs.
 func GenerateCtx(ctx context.Context, c *circuit.Circuit, fcs []robust.FaultConditions, cfg Config) (*Result, error) {
+	return generate(ctx, c, [][]robust.FaultConditions{fcs}, cfg)
+}
+
+// generate is the one generation loop of the package, over k target
+// sets in decreasing criticality order. Primaries come only from
+// sets[0]; each test is compacted with secondaries from sets[0], then
+// sets[1], and so on (unless the heuristic is Uncompacted); then every
+// remaining target fault is simulated against the finished test and
+// the detected ones are dropped.
+func generate(ctx context.Context, c *circuit.Circuit, sets [][]robust.FaultConditions, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	start := time.Now() //lint:telemetry feeds Result.Elapsed only, never a generation decision
-	g := newGenerator(c, fcs, cfg)
-	g.ctx = ctx
-	res := &Result{}
-	setOf := make([]int, len(fcs))
+	g := newGenerator(ctx, c, sets, cfg)
+	k := len(sets)
+	res := &Result{
+		SecondaryAcceptsBySet: make([]int, k),
+		SecondaryRejectsBySet: make([]int, k),
+	}
 	for !g.canceled() {
-		pi := g.pickPrimarySet(setOf, 0)
+		pi := g.pickPrimary()
 		if pi < 0 {
 			break
 		}
@@ -234,14 +260,25 @@ func GenerateCtx(ctx context.Context, c *circuit.Circuit, fcs []robust.FaultCond
 			continue
 		}
 		if cfg.Heuristic != Uncompacted {
-			test = g.compactTest(ctx, pi, test, cube, res, setOf, 1)
+			test = g.compactTest(pi, test, cube, res, k)
 		} else {
 			res.RegenPerTest = append(res.RegenPerTest, 0)
 		}
 		res.Tests = append(res.Tests, test)
-		g.simDrop(ctx, test)
+		g.simDrop(test)
 	}
-	g.fill(res)
+	res.Detected = make([][]bool, k)
+	res.DetectedCounts = make([]int, k)
+	idx := 0
+	for s, set := range sets {
+		res.Detected[s] = g.detected[idx : idx+len(set) : idx+len(set)]
+		for _, d := range res.Detected[s] {
+			if d {
+				res.DetectedCounts[s]++
+			}
+		}
+		idx += len(set)
+	}
 	res.Elapsed = time.Since(start) //lint:telemetry wall-clock report, not part of the digest
 	res.JustifyStats = g.just.stats()
 	return res, ctx.Err()
@@ -250,11 +287,11 @@ func GenerateCtx(ctx context.Context, c *circuit.Circuit, fcs []robust.FaultCond
 // compactTest is addSecondariesPhased under a "compaction" span on the
 // job timeline — one span per generated test, attributed with the
 // secondary accept/reject deltas.
-func (g *generator) compactTest(ctx context.Context, primary int, test circuit.TwoPattern, cube robust.Cube, res *Result, setOf []int, k int) circuit.TwoPattern {
+func (g *generator) compactTest(primary int, test circuit.TwoPattern, cube robust.Cube, res *Result, k int) circuit.TwoPattern {
 	accepts, rejects, cheap := res.SecondaryAccepts, res.SecondaryRejects, res.CheapAccepts
-	_, span := obs.StartSpan(ctx, "compaction",
+	_, span := obs.StartSpan(g.ctx, "compaction",
 		obs.String("heuristic", g.cfg.Heuristic.String()), obs.Int("test", len(res.Tests)))
-	test = g.addSecondariesPhased(primary, test, cube, res, setOf, k)
+	test = g.addSecondariesPhased(primary, test, cube, res, k)
 	// Every non-cheap accept regenerated the test under the grown cube.
 	res.RegenPerTest = append(res.RegenPerTest,
 		(res.SecondaryAccepts-accepts)-(res.CheapAccepts-cheap))
@@ -266,31 +303,10 @@ func (g *generator) compactTest(ctx context.Context, primary int, test circuit.T
 // simDrop is dropDetected under a "simulation" span on the job
 // timeline: the end-of-test fault simulation that drops the target
 // faults the finished test detects.
-func (g *generator) simDrop(ctx context.Context, test circuit.TwoPattern) {
-	_, span := obs.StartSpan(ctx, "simulation", obs.Int("faults", len(g.faults)))
-	g.dropDetected(test, nil)
+func (g *generator) simDrop(test circuit.TwoPattern) {
+	_, span := obs.StartSpan(g.ctx, "simulation", obs.Int("faults", len(g.faults)))
+	g.dropDetected(test)
 	span.End()
-}
-
-// EnrichResult reports a run of the enrichment procedure.
-type EnrichResult struct {
-	Tests []circuit.TwoPattern
-	// DetectedP0 / DetectedP1 are per-fault detection flags for the
-	// two target sets.
-	DetectedP0, DetectedP1                           []bool
-	DetectedP0Count                                  int
-	DetectedP1Count                                  int
-	PrimaryAborts                                    int
-	SecondaryAccepts, SecondaryRejects, CheapAccepts int
-	// SecondaryAcceptsBySet / SecondaryRejectsBySet split the
-	// secondary outcomes between P0 (index 0) and P1 (index 1) —
-	// the counters the paper's Table 6 discussion argues about.
-	SecondaryAcceptsBySet, SecondaryRejectsBySet []int
-	// RegenPerTest[t] counts the justification regenerations of test
-	// t (see Result.RegenPerTest).
-	RegenPerTest []int
-	Elapsed      time.Duration
-	JustifyStats justify.Stats
 }
 
 // Enrich runs the test enrichment procedure of Section 3.2: primaries
@@ -306,23 +322,7 @@ func Enrich(c *circuit.Circuit, p0, p1 []robust.FaultConditions, cfg Config) *En
 // EnrichCtx is Enrich under a context; see GenerateCtx for the
 // cancellation contract.
 func EnrichCtx(ctx context.Context, c *circuit.Circuit, p0, p1 []robust.FaultConditions, cfg Config) (*EnrichResult, error) {
-	kres, err := EnrichKCtx(ctx, c, [][]robust.FaultConditions{p0, p1}, cfg)
-	return &EnrichResult{
-		Tests:                 kres.Tests,
-		DetectedP0:            kres.Detected[0],
-		DetectedP1:            kres.Detected[1],
-		DetectedP0Count:       kres.DetectedCounts[0],
-		DetectedP1Count:       kres.DetectedCounts[1],
-		PrimaryAborts:         kres.PrimaryAborts,
-		SecondaryAccepts:      kres.SecondaryAccepts,
-		SecondaryRejects:      kres.SecondaryRejects,
-		CheapAccepts:          kres.CheapAccepts,
-		SecondaryAcceptsBySet: kres.SecondaryAcceptsBySet,
-		SecondaryRejectsBySet: kres.SecondaryRejectsBySet,
-		RegenPerTest:          kres.RegenPerTest,
-		Elapsed:               kres.Elapsed,
-		JustifyStats:          kres.JustifyStats,
-	}, err
+	return EnrichKCtx(ctx, c, [][]robust.FaultConditions{p0, p1}, cfg)
 }
 
 // justifyFault tries the fault's alternatives (merged into base when
@@ -362,7 +362,7 @@ func (g *generator) minDeltaIndex(cand []int, cube *robust.Cube) int {
 
 // dropDetected fault simulates the finished test over all undetected
 // target faults and marks detections.
-func (g *generator) dropDetected(test circuit.TwoPattern, _ []bool) {
+func (g *generator) dropDetected(test circuit.TwoPattern) {
 	sim := test.Simulate(g.c)
 	for i := range g.faults {
 		if g.detected[i] {
@@ -370,15 +370,6 @@ func (g *generator) dropDetected(test circuit.TwoPattern, _ []bool) {
 		}
 		if faultsim.DetectsSim(&g.faults[i], sim) {
 			g.detected[i] = true
-		}
-	}
-}
-
-func (g *generator) fill(res *Result) {
-	res.Detected = append([]bool(nil), g.detected...)
-	for _, d := range g.detected {
-		if d {
-			res.DetectedCount++
 		}
 	}
 }

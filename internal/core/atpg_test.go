@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/bitsim"
 	"repro/internal/circuit"
 	"repro/internal/faults"
 	"repro/internal/faultsim"
@@ -22,6 +23,27 @@ func screened(t testing.TB, c *circuit.Circuit, maxFaults int) []robust.FaultCon
 	return kept
 }
 
+// firstDetect fault simulates tests over fcs and returns each fault's
+// first detecting test, or -1.
+func firstDetect(t testing.TB, c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) []int {
+	t.Helper()
+	first, err := bitsim.Run(c, tests, fcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return first
+}
+
+// detectedCount is the number of faults of fcs the tests detect.
+func detectedCount(t testing.TB, c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) int {
+	t.Helper()
+	n, err := bitsim.Count(c, tests, fcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestGenerateS27AllHeuristics(t *testing.T) {
 	c := bench.S27()
 	fcs := screened(t, c, 0)
@@ -29,16 +51,16 @@ func TestGenerateS27AllHeuristics(t *testing.T) {
 		h := h
 		t.Run(h.String(), func(t *testing.T) {
 			res := Generate(c, fcs, Config{Heuristic: h, Seed: 1})
-			if res.DetectedCount == 0 {
+			if res.DetectedCounts[0] == 0 {
 				t.Fatal("nothing detected")
 			}
 			// The detection flags must agree with an independent fault
 			// simulation of the returned test set.
-			resim := faultsim.Run(c, res.Tests, fcs)
+			resim := firstDetect(t, c, res.Tests, fcs)
 			for i := range fcs {
-				if (resim[i] >= 0) != res.Detected[i] {
+				if (resim[i] >= 0) != res.Detected[0][i] {
 					t.Errorf("fault %d: run reports %v, resimulation %v",
-						i, res.Detected[i], resim[i] >= 0)
+						i, res.Detected[0][i], resim[i] >= 0)
 				}
 			}
 			if len(res.Tests) > len(fcs) {
@@ -62,16 +84,16 @@ func TestCompactionReducesTests(t *testing.T) {
 	un := Generate(c, fcs, Config{Heuristic: Uncompacted, Seed: 2})
 	va := Generate(c, fcs, Config{Heuristic: ValueBased, Seed: 2})
 	t.Logf("uncomp: %d tests %d detected; values: %d tests %d detected",
-		len(un.Tests), un.DetectedCount, len(va.Tests), va.DetectedCount)
+		len(un.Tests), un.DetectedCounts[0], len(va.Tests), va.DetectedCounts[0])
 	if len(va.Tests) >= len(un.Tests) {
 		t.Errorf("value-based compaction did not reduce tests: %d vs %d",
 			len(va.Tests), len(un.Tests))
 	}
 	// Detection quality must be comparable (paper Table 3: small
 	// variations only).
-	lo := un.DetectedCount - un.DetectedCount/5
-	if va.DetectedCount < lo {
-		t.Errorf("value-based detects far fewer: %d vs %d", va.DetectedCount, un.DetectedCount)
+	lo := un.DetectedCounts[0] - un.DetectedCounts[0]/5
+	if va.DetectedCounts[0] < lo {
+		t.Errorf("value-based detects far fewer: %d vs %d", va.DetectedCounts[0], un.DetectedCounts[0])
 	}
 }
 
@@ -80,9 +102,9 @@ func TestDeterministicRuns(t *testing.T) {
 	fcs := screened(t, c, 0)
 	a := Generate(c, fcs, Config{Heuristic: ValueBased, Seed: 9})
 	b := Generate(c, fcs, Config{Heuristic: ValueBased, Seed: 9})
-	if len(a.Tests) != len(b.Tests) || a.DetectedCount != b.DetectedCount {
+	if len(a.Tests) != len(b.Tests) || a.DetectedCounts[0] != b.DetectedCounts[0] {
 		t.Fatalf("same seed, different results: %d/%d vs %d/%d tests/detected",
-			len(a.Tests), a.DetectedCount, len(b.Tests), b.DetectedCount)
+			len(a.Tests), a.DetectedCounts[0], len(b.Tests), b.DetectedCounts[0])
 	}
 	for i := range a.Tests {
 		if a.Tests[i].String() != b.Tests[i].String() {
@@ -103,27 +125,27 @@ func TestEnrichS27(t *testing.T) {
 	p1 := fcs[len(p0f) : len(p0f)+len(p1f)]
 
 	er := Enrich(c, p0, p1, Config{Seed: 3})
-	if er.DetectedP0Count == 0 {
+	if er.DetectedCounts[0] == 0 {
 		t.Fatal("enrichment detected nothing from P0")
 	}
-	if len(er.DetectedP0) != len(p0) || len(er.DetectedP1) != len(p1) {
+	if len(er.Detected[0]) != len(p0) || len(er.Detected[1]) != len(p1) {
 		t.Fatal("detection vectors sized wrong")
 	}
 	// Re-simulate: every reported detection must be real.
 	all := append(append([]robust.FaultConditions(nil), p0...), p1...)
-	resim := faultsim.Run(c, er.Tests, all)
+	resim := firstDetect(t, c, er.Tests, all)
 	for i := range p0 {
-		if (resim[i] >= 0) != er.DetectedP0[i] {
-			t.Errorf("P0 fault %d: enrich reports %v, resim %v", i, er.DetectedP0[i], resim[i] >= 0)
+		if (resim[i] >= 0) != er.Detected[0][i] {
+			t.Errorf("P0 fault %d: enrich reports %v, resim %v", i, er.Detected[0][i], resim[i] >= 0)
 		}
 	}
 	for i := range p1 {
-		if (resim[len(p0)+i] >= 0) != er.DetectedP1[i] {
-			t.Errorf("P1 fault %d: enrich reports %v, resim %v", i, er.DetectedP1[i], resim[len(p0)+i] >= 0)
+		if (resim[len(p0)+i] >= 0) != er.Detected[1][i] {
+			t.Errorf("P1 fault %d: enrich reports %v, resim %v", i, er.Detected[1][i], resim[len(p0)+i] >= 0)
 		}
 	}
 	t.Logf("s27 enrich: %d tests, P0 %d/%d, P1 %d/%d",
-		len(er.Tests), er.DetectedP0Count, len(p0), er.DetectedP1Count, len(p1))
+		len(er.Tests), er.DetectedCounts[0], len(p0), er.DetectedCounts[1], len(p1))
 }
 
 func TestEnrichmentBeatsAccidentalDetection(t *testing.T) {
@@ -145,10 +167,10 @@ func TestEnrichmentBeatsAccidentalDetection(t *testing.T) {
 
 	basic := Generate(c, p0, Config{Heuristic: ValueBased, Seed: 4})
 	all := append(append([]robust.FaultConditions(nil), p0...), p1...)
-	basicAll := faultsim.Count(c, basic.Tests, all)
+	basicAll := detectedCount(t, c, basic.Tests, all)
 
 	er := Enrich(c, p0, p1, Config{Seed: 4})
-	enrichAll := er.DetectedP0Count + er.DetectedP1Count
+	enrichAll := er.DetectedCounts[0] + er.DetectedCounts[1]
 
 	t.Logf("basic: %d tests, %d/%d of P0∪P1; enrich: %d tests, %d/%d",
 		len(basic.Tests), basicAll, len(all), len(er.Tests), enrichAll, len(all))
@@ -170,13 +192,13 @@ func TestCheapAcceptInvariance(t *testing.T) {
 	off := Generate(c, fcs, Config{Heuristic: ValueBased, Seed: 5, DisableCheapAccept: true})
 	// The fast path may change the trajectory slightly; detection
 	// totals must stay in the same ballpark.
-	diff := on.DetectedCount - off.DetectedCount
+	diff := on.DetectedCounts[0] - off.DetectedCounts[0]
 	if diff < 0 {
 		diff = -diff
 	}
 	if diff > len(fcs)/5 {
 		t.Errorf("cheap accept changes results too much: %d vs %d detected",
-			on.DetectedCount, off.DetectedCount)
+			on.DetectedCounts[0], off.DetectedCounts[0])
 	}
 	if on.CheapAccepts == 0 {
 		t.Log("note: no cheap accepts fired on s27")
@@ -204,8 +226,8 @@ func TestUncompactedOneTestPerPrimary(t *testing.T) {
 	res := Generate(c, fcs, Config{Heuristic: Uncompacted, Seed: 7})
 	// Each test came from one primary; with dropping, tests ≤ faults
 	// and detected ≥ tests (each test detects at least its primary).
-	if res.DetectedCount < len(res.Tests) {
-		t.Errorf("detected %d < tests %d", res.DetectedCount, len(res.Tests))
+	if res.DetectedCounts[0] < len(res.Tests) {
+		t.Errorf("detected %d < tests %d", res.DetectedCounts[0], len(res.Tests))
 	}
 	if res.SecondaryAccepts != 0 {
 		t.Error("uncompacted run must not accept secondaries")
@@ -230,8 +252,8 @@ func TestCollapsedTargetingPreservesCoverage(t *testing.T) {
 	full := Generate(c, fcs, Config{Heuristic: ValueBased, Seed: 44})
 	collapsed := Generate(c, repSet, Config{Heuristic: ValueBased, Seed: 44})
 	// Measure both test sets against the full population.
-	fullCov := faultsim.Count(c, full.Tests, fcs)
-	collCov := faultsim.Count(c, collapsed.Tests, fcs)
+	fullCov := detectedCount(t, c, full.Tests, fcs)
+	collCov := detectedCount(t, c, collapsed.Tests, fcs)
 	t.Logf("full targeting: %d targets, %d tests, %d/%d covered; collapsed: %d targets, %d tests, %d/%d covered",
 		len(fcs), len(full.Tests), fullCov, len(fcs),
 		len(repSet), len(collapsed.Tests), collCov, len(fcs))
@@ -240,14 +262,14 @@ func TestCollapsedTargetingPreservesCoverage(t *testing.T) {
 	for q, p := range subsumedBy {
 		pDetected := false
 		for i, r := range reps {
-			if r == p && collapsed.Detected[i] {
+			if r == p && collapsed.Detected[0][i] {
 				pDetected = true
 			}
 		}
 		if !pDetected {
 			continue
 		}
-		det := faultsim.Run(c, collapsed.Tests, []robust.FaultConditions{fcs[q]})
+		det := firstDetect(t, c, collapsed.Tests, []robust.FaultConditions{fcs[q]})
 		if det[0] < 0 {
 			t.Fatalf("subsumed fault %d not covered despite detected representative %d", q, p)
 		}
@@ -309,7 +331,7 @@ func TestArbitraryOrderSeedDependent(t *testing.T) {
 func TestGenerateEmptyTargetSet(t *testing.T) {
 	c := bench.S27()
 	res := Generate(c, nil, Config{Heuristic: ValueBased, Seed: 1})
-	if len(res.Tests) != 0 || res.DetectedCount != 0 {
+	if len(res.Tests) != 0 || res.DetectedCounts[0] != 0 {
 		t.Errorf("empty target set produced work: %+v", res)
 	}
 	er := Enrich(c, nil, nil, Config{Seed: 1})

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/faultsim"
 	"repro/internal/justify"
 )
 
@@ -16,9 +15,9 @@ func TestGenerateWithBnBSeedIndependent(t *testing.T) {
 	fcs := screened(t, c, 0)
 	a := Generate(c, fcs, Config{Heuristic: ValueBased, Seed: 1, UseBnB: true})
 	b := Generate(c, fcs, Config{Heuristic: ValueBased, Seed: 999, UseBnB: true})
-	if len(a.Tests) != len(b.Tests) || a.DetectedCount != b.DetectedCount {
+	if len(a.Tests) != len(b.Tests) || a.DetectedCounts[0] != b.DetectedCounts[0] {
 		t.Fatalf("BnB runs differ across seeds: %d/%d vs %d/%d",
-			len(a.Tests), a.DetectedCount, len(b.Tests), b.DetectedCount)
+			len(a.Tests), a.DetectedCounts[0], len(b.Tests), b.DetectedCounts[0])
 	}
 	for i := range a.Tests {
 		if a.Tests[i].String() != b.Tests[i].String() {
@@ -32,15 +31,15 @@ func TestGenerateWithBnBDominatesRandomized(t *testing.T) {
 	fcs := screened(t, c, 0)
 	bnb := Generate(c, fcs, Config{Heuristic: ValueBased, Seed: 1, UseBnB: true})
 	rnd := Generate(c, fcs, Config{Heuristic: ValueBased, Seed: 1})
-	if bnb.DetectedCount < rnd.DetectedCount {
+	if bnb.DetectedCounts[0] < rnd.DetectedCounts[0] {
 		t.Errorf("complete search detected fewer faults: %d vs %d",
-			bnb.DetectedCount, rnd.DetectedCount)
+			bnb.DetectedCounts[0], rnd.DetectedCounts[0])
 	}
 	// Detection flags must be confirmed by resimulation.
-	resim := faultsim.Run(c, bnb.Tests, fcs)
+	resim := firstDetect(t, c, bnb.Tests, fcs)
 	for i := range fcs {
-		if (resim[i] >= 0) != bnb.Detected[i] {
-			t.Fatalf("fault %d: reported %v, resim %v", i, bnb.Detected[i], resim[i] >= 0)
+		if (resim[i] >= 0) != bnb.Detected[0][i] {
+			t.Fatalf("fault %d: reported %v, resim %v", i, bnb.Detected[0][i], resim[i] >= 0)
 		}
 	}
 }
@@ -51,7 +50,7 @@ func TestEnrichWithBnB(t *testing.T) {
 	half := len(fcs) / 2
 	er := Enrich(c, fcs[:half], fcs[half:], Config{Seed: 1, UseBnB: true,
 		BnB: justify.BnBConfig{MaxBacktracks: 5000}})
-	if er.DetectedP0Count == 0 {
+	if er.DetectedCounts[0] == 0 {
 		t.Fatal("BnB enrichment detected nothing")
 	}
 	if len(er.Tests) == 0 {

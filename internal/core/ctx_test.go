@@ -18,9 +18,9 @@ func TestGenerateCtxBackgroundMatchesGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain.Tests) != len(withCtx.Tests) || plain.DetectedCount != withCtx.DetectedCount {
+	if len(plain.Tests) != len(withCtx.Tests) || plain.DetectedCounts[0] != withCtx.DetectedCounts[0] {
 		t.Errorf("ctx variant diverges: %d/%d tests, %d/%d detected",
-			len(plain.Tests), len(withCtx.Tests), plain.DetectedCount, withCtx.DetectedCount)
+			len(plain.Tests), len(withCtx.Tests), plain.DetectedCounts[0], withCtx.DetectedCounts[0])
 	}
 	for i := range plain.Tests {
 		if plain.Tests[i].String() != withCtx.Tests[i].String() {

@@ -2,33 +2,10 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/circuit"
-	"repro/internal/justify"
 	"repro/internal/robust"
 )
-
-// EnrichKResult reports a run of the generalized enrichment procedure
-// over k target sets.
-type EnrichKResult struct {
-	Tests []circuit.TwoPattern
-	// Detected[s][i] reports detection of fault i of set s.
-	Detected [][]bool
-	// DetectedCounts[s] is the number of detected faults of set s.
-	DetectedCounts                                   []int
-	PrimaryAborts                                    int
-	SecondaryAccepts, SecondaryRejects, CheapAccepts int
-	// SecondaryAcceptsBySet / SecondaryRejectsBySet split the
-	// secondary outcomes by the target set the candidate came from
-	// (index s corresponds to sets[s]).
-	SecondaryAcceptsBySet, SecondaryRejectsBySet []int
-	// RegenPerTest[t] counts the justification regenerations of test
-	// t (non-cheap secondary accepts; see core.Result.RegenPerTest).
-	RegenPerTest []int
-	Elapsed      time.Duration
-	JustifyStats justify.Stats
-}
 
 // EnrichK generalizes the enrichment procedure to any number of target
 // sets, in decreasing criticality order: primaries come only from
@@ -37,107 +14,38 @@ type EnrichKResult struct {
 // critical sets has been considered for the current test. The paper
 // notes this generalization in Section 3.1 ("it is possible to
 // partition P into a larger number of subsets") and evaluates k = 2.
-func EnrichK(c *circuit.Circuit, sets [][]robust.FaultConditions, cfg Config) *EnrichKResult {
+func EnrichK(c *circuit.Circuit, sets [][]robust.FaultConditions, cfg Config) *Result {
 	res, _ := EnrichKCtx(context.Background(), c, sets, cfg)
 	return res
 }
 
 // EnrichKCtx is EnrichK under a context: the run stops promptly when
 // ctx is canceled, returning the partial result together with
-// ctx.Err().
-func EnrichKCtx(ctx context.Context, c *circuit.Circuit, sets [][]robust.FaultConditions, cfg Config) (*EnrichKResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// ctx.Err(). Enrichment always compacts, so Uncompacted runs as
+// ValueBased, the ordering the paper selects.
+func EnrichKCtx(ctx context.Context, c *circuit.Circuit, sets [][]robust.FaultConditions, cfg Config) (*Result, error) {
 	if cfg.Heuristic == Uncompacted {
 		cfg.Heuristic = ValueBased
 	}
-	start := time.Now() //lint:telemetry feeds EnrichKResult.Elapsed only, never a generation decision
-	var all []robust.FaultConditions
-	setOf := make([]int, 0)
-	for s, set := range sets {
-		all = append(all, set...)
-		for range set {
-			setOf = append(setOf, s)
-		}
-	}
-	g := newGenerator(c, all, cfg)
-	g.ctx = ctx
-	res := &Result{}
-	for !g.canceled() {
-		pi := g.pickPrimarySet(setOf, 0)
-		if pi < 0 {
-			break
-		}
-		g.tried[pi] = true
-		test, cube, ok := g.justifyFault(pi, nil)
-		if !ok {
-			res.PrimaryAborts++
-			continue
-		}
-		test = g.compactTest(ctx, pi, test, cube, res, setOf, len(sets))
-		res.Tests = append(res.Tests, test)
-		g.simDrop(ctx, test)
-	}
-	res.ensureSets(len(sets))
-	out := &EnrichKResult{
-		Tests:                 res.Tests,
-		Detected:              make([][]bool, len(sets)),
-		DetectedCounts:        make([]int, len(sets)),
-		PrimaryAborts:         res.PrimaryAborts,
-		SecondaryAccepts:      res.SecondaryAccepts,
-		SecondaryRejects:      res.SecondaryRejects,
-		CheapAccepts:          res.CheapAccepts,
-		SecondaryAcceptsBySet: res.SecondaryAcceptsBySet,
-		SecondaryRejectsBySet: res.SecondaryRejectsBySet,
-		RegenPerTest:          res.RegenPerTest,
-		//lint:telemetry wall-clock report, not part of the digest
-		Elapsed:      time.Since(start),
-		JustifyStats: g.just.stats(),
-	}
-	idx := 0
-	for s, set := range sets {
-		out.Detected[s] = make([]bool, len(set))
-		for i := range set {
-			out.Detected[s][i] = g.detected[idx]
-			if g.detected[idx] {
-				out.DetectedCounts[s]++
-			}
-			idx++
-		}
-	}
-	return out, ctx.Err()
+	return generate(ctx, c, sets, cfg)
 }
 
-// pickPrimarySet picks the next primary from the given set.
-func (g *generator) pickPrimarySet(setOf []int, want int) int {
-	order := g.primaryOrder()
-	for _, i := range order {
-		if setOf[i] != want || g.detected[i] || g.tried[i] {
-			continue
+// pickPrimary picks the next primary target: the first fault of
+// sets[0] in iteration order that is neither detected nor tried.
+func (g *generator) pickPrimary() int {
+	for _, i := range g.order {
+		if g.setOf[i] == 0 && !g.detected[i] && !g.tried[i] {
+			return i
 		}
-		return i
 	}
 	return -1
 }
 
-func (g *generator) primaryOrder() []int {
-	if g.cfg.Heuristic == Arbitrary {
-		return g.arbOrder
-	}
-	order := make([]int, len(g.faults))
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
 // addSecondariesPhased runs the secondary loop over k phases.
-func (g *generator) addSecondariesPhased(primary int, test circuit.TwoPattern, cube robust.Cube, res *Result, setOf []int, k int) circuit.TwoPattern {
+func (g *generator) addSecondariesPhased(primary int, test circuit.TwoPattern, cube robust.Cube, res *Result, k int) circuit.TwoPattern {
 	sim := test.Simulate(g.c)
-	res.ensureSets(k)
 	for phase := 0; phase < k; phase++ {
-		cand := g.candidatesSet(primary, setOf, phase)
+		cand := g.candidates(primary, phase)
 		for len(cand) > 0 {
 			if g.canceled() {
 				return test
@@ -188,19 +96,12 @@ func (g *generator) addSecondariesPhased(primary int, test circuit.TwoPattern, c
 	return test
 }
 
-func (g *generator) candidatesSet(primary int, setOf []int, want int) []int {
-	var order []int
-	if g.cfg.Heuristic == Arbitrary {
-		order = g.arbOrder
-	} else {
-		order = make([]int, len(g.faults))
-		for i := range order {
-			order[i] = i
-		}
-	}
+// candidates lists the undetected faults of target set want, other
+// than the primary, in iteration order.
+func (g *generator) candidates(primary, want int) []int {
 	var out []int
-	for _, i := range order {
-		if i == primary || g.detected[i] || setOf[i] != want {
+	for _, i := range g.order {
+		if i == primary || g.detected[i] || g.setOf[i] != want {
 			continue
 		}
 		out = append(out, i)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/faultsim"
 	"repro/internal/robust"
 	"repro/internal/synth"
 )
@@ -35,7 +34,7 @@ func TestEnrichKThreeSets(t *testing.T) {
 	}
 	// Re-simulate for consistency.
 	all := append(append(append([]robust.FaultConditions(nil), sets[0]...), sets[1]...), sets[2]...)
-	resim := faultsim.Run(c, res.Tests, all)
+	resim := firstDetect(t, c, res.Tests, all)
 	idx := 0
 	for s := range sets {
 		for i := range sets[s] {
@@ -63,10 +62,10 @@ func TestEnrichKMatchesEnrich(t *testing.T) {
 	a := Enrich(c, p0, p1, Config{Seed: 12})
 	b := EnrichK(c, [][]robust.FaultConditions{p0, p1}, Config{Seed: 12})
 	if len(a.Tests) != len(b.Tests) ||
-		a.DetectedP0Count != b.DetectedCounts[0] ||
-		a.DetectedP1Count != b.DetectedCounts[1] {
+		a.DetectedCounts[0] != b.DetectedCounts[0] ||
+		a.DetectedCounts[1] != b.DetectedCounts[1] {
 		t.Fatalf("Enrich and EnrichK(k=2) diverge: %d/%d/%d vs %d/%d/%d",
-			len(a.Tests), a.DetectedP0Count, a.DetectedP1Count,
+			len(a.Tests), a.DetectedCounts[0], a.DetectedCounts[1],
 			len(b.Tests), b.DetectedCounts[0], b.DetectedCounts[1])
 	}
 }

@@ -16,7 +16,7 @@ func ExampleEnrich() {
 	d, _ := experiments.PrepareCircuit(c, experiments.Params{NP: 0, NP0: 10, Seed: 1})
 	res := core.Enrich(c, d.P0, d.P1, core.Config{Seed: 1})
 	fmt.Printf("|P0|=%d |P1|=%d tests=%d P0 detected=%d\n",
-		len(d.P0), len(d.P1), len(res.Tests), res.DetectedP0Count)
+		len(d.P0), len(d.P1), len(res.Tests), res.DetectedCounts[0])
 	// Output:
 	// |P0|=10 |P1|=40 tests=3 P0 detected=10
 }
@@ -30,7 +30,7 @@ func ExampleGenerate() {
 		Heuristic: core.ValueBased,
 		UseBnB:    true, // seed-independent results
 	})
-	fmt.Printf("tests=%d detected=%d/%d\n", len(res.Tests), res.DetectedCount, len(d.P0))
+	fmt.Printf("tests=%d detected=%d/%d\n", len(res.Tests), res.DetectedCounts[0], len(d.P0))
 	// Output:
 	// tests=3 detected=10/10
 }

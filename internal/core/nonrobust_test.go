@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/faultsim"
 	"repro/internal/pathenum"
 	"repro/internal/robust"
 	"repro/internal/synth"
@@ -33,24 +32,24 @@ func TestNonRobustATPGEndToEnd(t *testing.T) {
 	robRun := Generate(c, rob, Config{Heuristic: ValueBased, Seed: 33})
 	nonRun := Generate(c, non, Config{Heuristic: ValueBased, Seed: 33})
 	t.Logf("robust: %d/%d with %d tests; non-robust: %d/%d with %d tests",
-		robRun.DetectedCount, len(rob), len(robRun.Tests),
-		nonRun.DetectedCount, len(non), len(nonRun.Tests))
-	if nonRun.DetectedCount < robRun.DetectedCount {
+		robRun.DetectedCounts[0], len(rob), len(robRun.Tests),
+		nonRun.DetectedCounts[0], len(non), len(nonRun.Tests))
+	if nonRun.DetectedCounts[0] < robRun.DetectedCounts[0] {
 		t.Errorf("non-robust run detected fewer faults overall: %d vs %d",
-			nonRun.DetectedCount, robRun.DetectedCount)
+			nonRun.DetectedCounts[0], robRun.DetectedCounts[0])
 	}
 	// Soundness: reported detections re-simulate.
-	resim := faultsim.Run(c, nonRun.Tests, non)
+	resim := firstDetect(t, c, nonRun.Tests, non)
 	for i := range non {
-		if (resim[i] >= 0) != nonRun.Detected[i] {
-			t.Fatalf("fault %d: reported %v, resim %v", i, nonRun.Detected[i], resim[i] >= 0)
+		if (resim[i] >= 0) != nonRun.Detected[0][i] {
+			t.Fatalf("fault %d: reported %v, resim %v", i, nonRun.Detected[0][i], resim[i] >= 0)
 		}
 	}
 	// Every robust test set also achieves its coverage under the
 	// non-robust criterion (robust conditions are stronger).
-	crossCount := faultsim.Count(c, robRun.Tests, non)
-	if crossCount < robRun.DetectedCount {
+	crossCount := detectedCount(t, c, robRun.Tests, non)
+	if crossCount < robRun.DetectedCounts[0] {
 		t.Errorf("robust test set covers %d non-robust faults, less than its own %d robust detections",
-			crossCount, robRun.DetectedCount)
+			crossCount, robRun.DetectedCounts[0])
 	}
 }

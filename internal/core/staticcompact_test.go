@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/faultsim"
 	"repro/internal/synth"
 )
 
@@ -12,9 +11,9 @@ func TestStaticCompactPreservesCoverage(t *testing.T) {
 	c := synth.MustGenerate(synth.BenchmarkProfiles["b03"])
 	fcs := screened(t, c, 800)
 	res := Generate(c, fcs, Config{Heuristic: Uncompacted, Seed: 21})
-	before := faultsim.Count(c, res.Tests, fcs)
+	before := detectedCount(t, c, res.Tests, fcs)
 	compacted := StaticCompact(c, res.Tests, fcs)
-	after := faultsim.Count(c, compacted, fcs)
+	after := detectedCount(t, c, compacted, fcs)
 	if after != before {
 		t.Fatalf("coverage changed: %d -> %d", before, after)
 	}
@@ -35,7 +34,7 @@ func TestStaticCompactOnDynamicSet(t *testing.T) {
 	fcs := screened(t, c, 0)
 	res := Generate(c, fcs, Config{Heuristic: ValueBased, Seed: 22})
 	compacted := StaticCompact(c, res.Tests, fcs)
-	if got, want := faultsim.Count(c, compacted, fcs), res.DetectedCount; got != want {
+	if got, want := detectedCount(t, c, compacted, fcs), res.DetectedCounts[0]; got != want {
 		t.Fatalf("coverage changed: %d != %d", got, want)
 	}
 	if len(compacted) > len(res.Tests) {

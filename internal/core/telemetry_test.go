@@ -78,7 +78,7 @@ func TestGeneratePerSetTallies(t *testing.T) {
 	}
 }
 
-// The wall-clock reads in GenerateCtx and EnrichKCtx are annotated
+// The wall-clock reads of the generation loop are annotated
 // //lint:telemetry: they may feed the Elapsed field and nothing else.
 // This pins that invariant — two same-seed runs must be deep-equal in
 // every field once Elapsed is zeroed, so the clock demonstrably never
@@ -101,7 +101,7 @@ func TestWallClockConfinedToElapsed(t *testing.T) {
 		t.Fatalf("only %d screened faults on s27", len(fcs))
 	}
 	sets := [][]robust.FaultConditions{fcs[:8], fcs[8:]}
-	runK := func() *EnrichKResult {
+	runK := func() *Result {
 		res := EnrichK(c, sets, Config{Seed: 9})
 		res.Elapsed = 0
 		return res

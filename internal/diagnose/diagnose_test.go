@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/bitsim"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -28,17 +29,11 @@ func TestDiagnoseScoring(t *testing.T) {
 	tests := er.Tests
 
 	// Pick a detected fault.
-	target := -1
-	first := faultsim.Run(c, tests, fcs)
-	for fi, ti := range first {
-		if ti >= 0 {
-			target = fi
-			break
-		}
-	}
-	if target < 0 {
+	detected := detectedFaults(t, c, tests, fcs)
+	if len(detected) == 0 {
 		t.Fatal("no detected fault")
 	}
+	target := detected[0]
 	obs := make([]Observation, len(tests))
 	for ti := range tests {
 		sim := tests[ti].Simulate(c)
@@ -88,7 +83,7 @@ func TestDiagnoseFromTimingSyndrome(t *testing.T) {
 	tests := er.Tests
 	rng := rand.New(rand.NewSource(4))
 
-	detectedIdx := detectedFaults(c, tests, fcs)
+	detectedIdx := detectedFaults(t, c, tests, fcs)
 	if len(detectedIdx) == 0 {
 		t.Fatal("no detected faults")
 	}
@@ -143,8 +138,12 @@ func TestDiagnoseFromTimingSyndrome(t *testing.T) {
 	}
 }
 
-func detectedFaults(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) []int {
-	first := faultsim.Run(c, tests, fcs)
+func detectedFaults(t *testing.T, c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) []int {
+	t.Helper()
+	first, err := bitsim.Run(c, tests, fcs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []int
 	for fi, ti := range first {
 		if ti >= 0 {

@@ -69,10 +69,10 @@ func TestEngineMatchesDirectCoreRun(t *testing.T) {
 	}
 	er := core.Enrich(d.Circuit, d.P0, d.P1, core.Config{Seed: 1})
 	r := v.Result
-	if r.P0Detected != er.DetectedP0Count || r.P1Detected != er.DetectedP1Count ||
+	if r.P0Detected != er.DetectedCounts[0] || r.P1Detected != er.DetectedCounts[1] ||
 		r.TestCount != len(er.Tests) {
 		t.Errorf("engine result diverges from direct core run: engine %+v, core %d/%d tests %d",
-			r, er.DetectedP0Count, er.DetectedP1Count, len(er.Tests))
+			r, er.DetectedCounts[0], er.DetectedCounts[1], len(er.Tests))
 	}
 	for i, tp := range er.Tests {
 		if r.Tests[i] != tp.String() {

@@ -1125,7 +1125,7 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		}
 		res.TestPatterns = gres.Tests
 		res.PrimaryAborts = gres.PrimaryAborts
-		res.P0Detected = gres.DetectedCount
+		res.P0Detected = gres.DetectedCounts[0]
 		e.metrics.observeATPG(gres.JustifyStats, gres.SecondaryAcceptsBySet, gres.SecondaryRejectsBySet, gres.RegenPerTest)
 		genSpan.End(obs.Int("tests", len(gres.Tests)), obs.Int("aborts", gres.PrimaryAborts))
 		all := d.All()
@@ -1153,10 +1153,10 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		}
 		res.TestPatterns = er.Tests
 		res.PrimaryAborts = er.PrimaryAborts
-		res.P0Detected = er.DetectedP0Count
-		res.P1Detected = er.DetectedP1Count
+		res.P0Detected = er.DetectedCounts[0]
+		res.P1Detected = er.DetectedCounts[1]
 		res.AllTotal = len(p0) + len(p1)
-		res.AllDetected = er.DetectedP0Count + er.DetectedP1Count
+		res.AllDetected = er.DetectedCounts[0] + er.DetectedCounts[1]
 		e.metrics.observeATPG(er.JustifyStats, er.SecondaryAcceptsBySet, er.SecondaryRejectsBySet, er.RegenPerTest)
 		genSpan.End(obs.Int("tests", len(er.Tests)), obs.Int("aborts", er.PrimaryAborts))
 		e.stageDone(j, "enrich", time.Since(t1))

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"context"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -91,6 +93,42 @@ func TestEngineFaultSimJob(t *testing.T) {
 	if len(sim.Result.FirstDetect) != sim.Result.AllTotal {
 		t.Errorf("first_detect has %d entries, want %d",
 			len(sim.Result.FirstDetect), sim.Result.AllTotal)
+	}
+}
+
+// A faultsim job whose tests leave inputs at x runs on the same kernel
+// for every shard count: the first-detect vectors are identical.
+func TestEngineFaultSimXTests(t *testing.T) {
+	ge := New(Config{Workers: 1})
+	defer ge.Close()
+	gen, err := ge.RunJob(context.Background(), s27Spec(KindGenerate))
+	if err != nil || gen.Status != StatusDone {
+		t.Fatalf("generate: %v %s", err, gen.Status)
+	}
+	// Open one first-pattern input per test, a different one each time.
+	var tests []string
+	for i, tp := range gen.Result.Tests {
+		b := []byte(tp)
+		b[i%strings.Index(tp, " ")] = 'x'
+		tests = append(tests, string(b))
+	}
+	var firsts [][]int
+	for _, workers := range []int{1, 4} {
+		e := New(Config{Workers: 1, SimWorkers: workers})
+		spec := s27Spec(KindFaultSim)
+		spec.Tests = tests
+		sim, err := e.RunJob(context.Background(), spec)
+		e.Close()
+		if err != nil || sim.Status != StatusDone {
+			t.Fatalf("SimWorkers %d: %v %s", workers, err, sim.Status)
+		}
+		if sim.Result.Detected == 0 {
+			t.Fatalf("SimWorkers %d: x-bearing tests detect nothing; comparison vacuous", workers)
+		}
+		firsts = append(firsts, sim.Result.FirstDetect)
+	}
+	if !reflect.DeepEqual(firsts[0], firsts[1]) {
+		t.Errorf("first-detect vectors differ:\n%v\n%v", firsts[0], firsts[1])
 	}
 }
 

@@ -1,14 +1,15 @@
 // Package engine is the concurrent job-orchestration layer over the
-// paper's procedures: ATPG (core.Generate), test enrichment
-// (core.Enrich) and fault simulation (faultsim.Run) become *jobs*
-// executed on a bounded worker pool with per-job context cancellation
-// and deadlines, sharded parallel fault simulation with deterministic
-// merge, and a result cache keyed by (circuit hash, config digest,
-// fault-set digest).
+// paper's procedures: ATPG (core.GenerateCtx), test enrichment
+// (core.EnrichCtx) — one generation loop in core — and fault
+// simulation (faultsim.RunParallel, on the word-parallel bitsim
+// kernel) become *jobs* executed on a bounded worker pool with per-job
+// context cancellation and deadlines, sharded parallel fault
+// simulation with deterministic merge, and a result cache keyed by
+// (circuit hash, config digest, fault-set digest).
 //
 // The engine is consumed two ways: programmatically (internal/cli
-// routes pdfatpg/pdfsim runs through it, gaining a -workers flag) and
-// over HTTP (cmd/pdfd serves the JSON API of server.go).
+// routes pdfatpg runs through it, gaining a -workers flag) and over
+// HTTP (cmd/pdfd serves the JSON API of server.go).
 package engine
 
 import (

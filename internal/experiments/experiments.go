@@ -25,7 +25,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/faultsim"
 	"repro/internal/obs"
 	"repro/internal/pathenum"
 	"repro/internal/robust"
@@ -227,18 +226,12 @@ func BasicTable(d *CircuitData, p Params) *BasicRow {
 	all := d.All()
 	for _, h := range core.Heuristics {
 		res := core.Generate(d.Circuit, d.P0, core.Config{Heuristic: h, Seed: p.Seed})
-		row.Detected[h] = res.DetectedCount
+		row.Detected[h] = res.DetectedCounts[0]
 		row.Tests[h] = len(res.Tests)
 		row.Elapsed[h] = res.Elapsed
-		// Table 5: simulate P0 ∪ P1 under this test set with the
-		// word-parallel simulator (bit-identical to the scalar one).
-		n, err := bitsim.Count(d.Circuit, res.Tests, all)
-		if err != nil {
-			// Impossible for fully specified generated tests; fall
-			// back to the scalar simulator defensively.
-			n = faultsim.Count(d.Circuit, res.Tests, all)
-		}
-		row.P0P1Detected[h] = n
+		// Table 5: simulate P0 ∪ P1 under this test set. Generated
+		// tests carry one value per input, so Count cannot fail.
+		row.P0P1Detected[h], _ = bitsim.Count(d.Circuit, res.Tests, all)
 	}
 	return row
 }
@@ -268,9 +261,9 @@ func EnrichTable(d *CircuitData, p Params) *EnrichRow {
 		Circuit:      d.Name,
 		I0:           d.I0,
 		P0Total:      len(d.P0),
-		P0Detected:   er.DetectedP0Count,
+		P0Detected:   er.DetectedCounts[0],
 		AllTotal:     len(d.P0) + len(d.P1),
-		AllDetected:  er.DetectedP0Count + er.DetectedP1Count,
+		AllDetected:  er.DetectedCounts[0] + er.DetectedCounts[1],
 		Tests:        len(er.Tests),
 		Elapsed:      er.Elapsed,
 		BasicElapsed: basic.Elapsed,

@@ -41,8 +41,8 @@ func SweepNP0(c *circuit.Circuit, kept []robust.FaultConditions, np0s []int, see
 			P0Size:      len(p0),
 			P1Size:      len(p1),
 			Tests:       len(er.Tests),
-			P0Detected:  er.DetectedP0Count,
-			AllDetected: er.DetectedP0Count + er.DetectedP1Count,
+			P0Detected:  er.DetectedCounts[0],
+			AllDetected: er.DetectedCounts[0] + er.DetectedCounts[1],
 			Elapsed:     er.Elapsed,
 		})
 	}

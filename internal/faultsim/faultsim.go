@@ -1,6 +1,13 @@
 // Package faultsim simulates two-pattern tests against path delay
 // faults under the robust detection criterion.
 //
+// Fault simulation of a test set runs on one kernel: bitsim's
+// word-parallel batches, scanned serially by bitsim.Run or sharded
+// across workers by RunParallel with byte-identical results.
+// DetectsSim and Detects check one test's scalar simulation against
+// one fault; the ATPG's per-test fault dropping, diagnosis and static
+// compaction use them.
+//
 // A test robustly detects a fault iff the values it assigns cover one
 // of the fault's A(p) alternatives (Section 2.1 of the DATE 2002
 // paper: assigning the values in A(p) is necessary and sufficient).
@@ -29,47 +36,4 @@ func DetectsSim(fc *robust.FaultConditions, sim []tval.Triple) bool {
 // Detects simulates one test and reports whether it detects the fault.
 func Detects(c *circuit.Circuit, test circuit.TwoPattern, fc *robust.FaultConditions) bool {
 	return DetectsSim(fc, test.Simulate(c))
-}
-
-// Run simulates every test against every fault and returns, for each
-// fault, the index of the first detecting test (-1 if none). Each
-// fault is dropped after its first detection: detected faults are
-// removed from the scan list, so a fault detected by test t costs
-// nothing for tests after t.
-func Run(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) []int {
-	firstDet := make([]int, len(fcs))
-	for i := range firstDet {
-		firstDet[i] = -1
-	}
-	active := make([]int, len(fcs))
-	for i := range active {
-		active[i] = i
-	}
-	for ti := range tests {
-		if len(active) == 0 {
-			break
-		}
-		sim := tests[ti].Simulate(c)
-		kept := active[:0]
-		for _, fi := range active {
-			if DetectsSim(&fcs[fi], sim) {
-				firstDet[fi] = ti
-			} else {
-				kept = append(kept, fi)
-			}
-		}
-		active = kept
-	}
-	return firstDet
-}
-
-// Count returns how many faults the test set detects.
-func Count(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) int {
-	n := 0
-	for _, d := range Run(c, tests, fcs) {
-		if d >= 0 {
-			n++
-		}
-	}
-	return n
 }

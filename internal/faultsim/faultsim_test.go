@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -151,15 +152,18 @@ func TestGeneratedTestsDetectTheirFaults(t *testing.T) {
 				ti, kept[fi].Fault.Format(c))
 		}
 	}
-	// Run must agree with Detects and drop faults at their first
-	// detection.
-	first := Run(c, tests, kept)
+	// RunParallel must agree with Detects and drop faults at their
+	// first detection.
+	first, err := RunParallel(context.Background(), c, tests, kept, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for fi, ti := range first {
 		if ti < 0 {
 			continue
 		}
 		if !Detects(c, tests[ti], &kept[fi]) {
-			t.Errorf("Run claims test %d detects fault %d but Detects disagrees", ti, fi)
+			t.Errorf("RunParallel claims test %d detects fault %d but Detects disagrees", ti, fi)
 		}
 		for earlier := 0; earlier < ti; earlier++ {
 			if Detects(c, tests[earlier], &kept[fi]) {
@@ -179,7 +183,10 @@ func TestCount(t *testing.T) {
 			tests = append(tests, test)
 		}
 	}
-	n := Count(c, tests, kept)
+	n, err := CountParallel(context.Background(), c, tests, kept, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n == 0 {
 		t.Fatal("count = 0")
 	}
@@ -187,7 +194,7 @@ func TestCount(t *testing.T) {
 		t.Fatalf("count %d exceeds fault population %d", n, len(kept))
 	}
 	// Empty test set detects nothing.
-	if Count(c, nil, kept) != 0 {
+	if n, err := CountParallel(context.Background(), c, nil, kept, 1); err != nil || n != 0 {
 		t.Error("empty test set must detect nothing")
 	}
 	t.Logf("s27: %d tests detect %d/%d faults", len(tests), n, len(kept))

@@ -2,14 +2,15 @@ package faultsim
 
 import (
 	"context"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/bitsim"
 	"repro/internal/circuit"
 	"repro/internal/obs"
 	"repro/internal/robust"
-	"repro/internal/tval"
 )
 
 // faultChunk is the number of faults a worker claims at a time in the
@@ -17,16 +18,17 @@ import (
 // to balance uneven per-fault costs.
 const faultChunk = 64
 
-// RunParallel is Run sharded across workers. The test simulations are
-// computed first (each test is independent), then the fault list is
-// split into chunks scanned concurrently, each fault short-circuiting
-// at its first detecting test. Workers write disjoint slots of the
-// result, so the output is byte-identical to the serial Run regardless
-// of scheduling. workers <= 0 uses GOMAXPROCS; workers == 1 falls back
-// to the serial path.
+// RunParallel returns, for each fault, the index of the first test that
+// detects it (-1 if none), sharded across workers. The tests are first
+// simulated in 64-test word batches concurrently (bitsim.Simulate);
+// then the fault list is split into chunks scanned concurrently over
+// the batches in test order, each fault stopping at its first
+// detecting batch. Workers write disjoint slots of the result, so the
+// output is byte-identical to bitsim.Run regardless of scheduling.
+// workers <= 0 uses GOMAXPROCS; workers == 1 delegates to bitsim.Run.
 //
 // RunParallel returns ctx.Err() if the context is canceled before the
-// scan completes; cancellation is observed between tests and between
+// scan completes; cancellation is observed between batches and between
 // fault chunks.
 func RunParallel(ctx context.Context, c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions, workers int) ([]int, error) {
 	if workers <= 0 {
@@ -36,16 +38,17 @@ func RunParallel(ctx context.Context, c *circuit.Circuit, tests []circuit.TwoPat
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return Run(c, tests, fcs), nil
+		return bitsim.Run(c, tests, fcs)
 	}
 
-	// Stage 1: simulate all tests concurrently. The pool is clamped per
-	// stage — here by test count, below by fault-chunk count — so a
-	// workload with few tests but many faults still scans faults at
+	// Stage 1: simulate all batches concurrently. The pool is clamped
+	// per stage — here by batch count, below by fault-chunk count — so
+	// a workload with few tests but many faults still scans faults at
 	// full parallelism.
-	simWorkers := min(workers, len(tests))
-	sims := make([][]tval.Triple, len(tests))
-	var nextTest atomic.Int64
+	batches := make([]*bitsim.Batch, (len(tests)+bitsim.WordSize-1)/bitsim.WordSize)
+	simWorkers := min(workers, len(batches))
+	var nextBatch atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	_, simSpan := obs.StartSpan(ctx, "testsim",
 		obs.Int("tests", len(tests)), obs.Int("workers", simWorkers))
@@ -54,11 +57,17 @@ func RunParallel(ctx context.Context, c *circuit.Circuit, tests []circuit.TwoPat
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				ti := int(nextTest.Add(1)) - 1
-				if ti >= len(tests) {
+				bi := int(nextBatch.Add(1)) - 1
+				if bi >= len(batches) {
 					return
 				}
-				sims[ti] = tests[ti].Simulate(c)
+				base := bi * bitsim.WordSize
+				b, err := bitsim.Simulate(c, tests[base:min(base+bitsim.WordSize, len(tests))])
+				if err != nil {
+					failed.Store(true)
+					return
+				}
+				batches[bi] = b
 			}
 		}()
 	}
@@ -67,9 +76,13 @@ func RunParallel(ctx context.Context, c *circuit.Circuit, tests []circuit.TwoPat
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if failed.Load() {
+		// Report the malformed test exactly as the serial path does.
+		return bitsim.Run(c, tests, fcs)
+	}
 
 	// Stage 2: scan fault chunks; each fault stops at its first
-	// detecting test. One "shard" span per worker goroutine records
+	// detecting batch. One "shard" span per worker goroutine records
 	// the shard's share of the scan on the job timeline.
 	scanWorkers := min(workers, (len(fcs)+faultChunk-1)/faultChunk)
 	firstDet := make([]int, len(fcs))
@@ -89,9 +102,9 @@ func RunParallel(ctx context.Context, c *circuit.Circuit, tests []circuit.TwoPat
 				end := min(start+faultChunk, len(fcs))
 				for fi := start; fi < end; fi++ {
 					firstDet[fi] = -1
-					for ti := range sims {
-						if DetectsSim(&fcs[fi], sims[ti]) {
-							firstDet[fi] = ti
+					for bi, b := range batches {
+						if mask := b.Detects(&fcs[fi]); mask != 0 {
+							firstDet[fi] = bi*bitsim.WordSize + bits.TrailingZeros64(mask)
 							break
 						}
 					}
@@ -107,7 +120,8 @@ func RunParallel(ctx context.Context, c *circuit.Circuit, tests []circuit.TwoPat
 	return firstDet, nil
 }
 
-// CountParallel is Count over the sharded parallel path.
+// CountParallel returns how many faults the test set detects, over the
+// sharded path of RunParallel.
 func CountParallel(ctx context.Context, c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions, workers int) (int, error) {
 	first, err := RunParallel(ctx, c, tests, fcs, workers)
 	if err != nil {

@@ -4,9 +4,13 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/bench"
+	"repro/internal/bitsim"
 	"repro/internal/circuit"
+	"repro/internal/justify"
 	"repro/internal/pathenum"
 	"repro/internal/robust"
 	"repro/internal/synth"
@@ -21,66 +25,133 @@ func simSetup(tb testing.TB, profile string, np, nTests int) (*circuit.Circuit, 
 	if err != nil {
 		tb.Fatal(err)
 	}
+	kept := screenedFaults(tb, c, np)
+	rng := rand.New(rand.NewSource(7))
+	tests := make([]circuit.TwoPattern, nTests)
+	for i := range tests {
+		tests[i] = randomTest(c, rng)
+	}
+	return c, tests, kept
+}
+
+func screenedFaults(tb testing.TB, c *circuit.Circuit, np int) []robust.FaultConditions {
+	tb.Helper()
 	res, err := pathenum.Enumerate(c, pathenum.Config{MaxFaults: np, Mode: pathenum.DistancePruned})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	kept, _ := robust.Screen(c, res.Faults)
-	rng := rand.New(rand.NewSource(7))
-	tests := make([]circuit.TwoPattern, nTests)
-	for i := range tests {
-		tp := circuit.TwoPattern{
-			P1: make([]tval.V, len(c.PIs)),
-			P3: make([]tval.V, len(c.PIs)),
-		}
-		for k := range tp.P1 {
-			tp.P1[k] = tval.V(rng.Intn(2))
-			tp.P3[k] = tval.V(rng.Intn(2))
-		}
-		tests[i] = tp
-	}
-	return c, tests, kept
+	return kept
 }
 
-// runNaive is the pre-fix Run: already-detected faults are skipped
-// with a per-test check but stay in the scan list. Kept as the
-// benchmark baseline for the short-circuit win.
+// runNaive is the scalar reference: every test is simulated on its own
+// with TwoPattern.Simulate and checked with DetectsSim against every
+// fault not yet detected.
 func runNaive(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) []int {
 	firstDet := make([]int, len(fcs))
 	for i := range firstDet {
 		firstDet[i] = -1
 	}
-	remaining := len(fcs)
 	for ti := range tests {
-		if remaining == 0 {
-			break
-		}
 		sim := tests[ti].Simulate(c)
 		for fi := range fcs {
-			if firstDet[fi] >= 0 {
-				continue
-			}
-			if DetectsSim(&fcs[fi], sim) {
+			if firstDet[fi] < 0 && DetectsSim(&fcs[fi], sim) {
 				firstDet[fi] = ti
-				remaining--
 			}
 		}
 	}
 	return firstDet
 }
 
+// diffTests returns n tests alternating random tests with tests
+// justified for the circuit's faults, so detections land on both sides
+// of every batch boundary. Random tests rarely detect long paths; the
+// justified ones keep the comparison non-vacuous.
+func diffTests(c *circuit.Circuit, fcs []robust.FaultConditions, n int, rng *rand.Rand) []circuit.TwoPattern {
+	j := justify.New(c, justify.Config{Seed: 13})
+	var justified []circuit.TwoPattern
+	for i := 0; i < len(fcs) && len(justified) < n/2; i += 1 + len(fcs)/n {
+		if tp, ok := j.Justify(&fcs[i].Alts[0]); ok {
+			justified = append(justified, tp)
+		}
+	}
+	tests := make([]circuit.TwoPattern, n)
+	for i := range tests {
+		if i%2 == 1 && len(justified) > 0 {
+			tests[i], justified = justified[0], justified[1:]
+		} else {
+			tests[i] = randomTest(c, rng)
+		}
+	}
+	return tests
+}
+
+// withXs returns copies of the tests with about one input value in 20
+// replaced by x: enough x to reach every gate type's x rules, few
+// enough that long paths stay detectable.
+func withXs(tests []circuit.TwoPattern, rng *rand.Rand) []circuit.TwoPattern {
+	out := make([]circuit.TwoPattern, len(tests))
+	for i, tp := range tests {
+		out[i] = tp.Clone()
+		for k := range out[i].P1 {
+			if rng.Intn(20) == 0 {
+				out[i].P1[k] = tval.X
+			}
+			if rng.Intn(20) == 0 {
+				out[i].P3[k] = tval.X
+			}
+		}
+	}
+	return out
+}
+
+// TestRunMatchesNaive is the differential test of the fault-simulation
+// kernel: RunParallel must return the scalar reference's first-detect
+// vector for every circuit, test count (around the 64-test batch
+// boundaries), worker count and x-bearing test set.
 func TestRunMatchesNaive(t *testing.T) {
-	c, tests, fcs := simSetup(t, "s641", 400, 64)
-	want := runNaive(c, tests, fcs)
-	got := Run(c, tests, fcs)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("short-circuit Run diverges from reference")
+	circuits := []*circuit.Circuit{bench.S27(), bench.C17()}
+	for _, name := range synth.ProfileNames() {
+		circuits = append(circuits, synth.MustGenerate(synth.BenchmarkProfiles[name]))
+	}
+	for _, c := range circuits {
+		t.Run(c.Name, func(t *testing.T) {
+			fcs := screenedFaults(t, c, 300)
+			rng := rand.New(rand.NewSource(5))
+			full := diffTests(c, fcs, 130, rng)
+			for _, tests := range [][]circuit.TwoPattern{full, withXs(full, rng)} {
+				detected := 0
+				for _, n := range []int{1, 63, 64, 65, 130} {
+					want := runNaive(c, tests[:n], fcs)
+					for _, workers := range []int{0, 1, 2, 3, 8} {
+						got, err := RunParallel(context.Background(), c, tests[:n], fcs, workers)
+						if err != nil {
+							t.Fatalf("%d tests, workers=%d: %v", n, workers, err)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%d tests, workers=%d: first-detect vector diverges from the scalar reference", n, workers)
+						}
+					}
+					for _, d := range want {
+						if d >= 0 {
+							detected++
+						}
+					}
+				}
+				if detected == 0 {
+					t.Errorf("no detections among %d faults; comparison vacuous", len(fcs))
+				}
+			}
+		})
 	}
 }
 
 func TestRunParallelMatchesSerial(t *testing.T) {
 	c, tests, fcs := simSetup(t, "s641", 400, 64)
-	want := Run(c, tests, fcs)
+	want, err := bitsim.Run(c, tests, fcs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{0, 1, 2, 4, 8} {
 		got, err := RunParallel(context.Background(), c, tests, fcs, workers)
 		if err != nil {
@@ -94,9 +165,31 @@ func TestRunParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2 := Count(c, tests, fcs)
+	want2, err := bitsim.Count(c, tests, fcs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n != want2 {
 		t.Errorf("CountParallel = %d, want %d", n, want2)
+	}
+}
+
+// A test with the wrong number of input values is reported the same
+// way for every worker count, even when it sits after the point where
+// every fault is already detected.
+func TestRunParallelRejectsShortTest(t *testing.T) {
+	c, tests, fcs := simSetup(t, "s641", 400, 130)
+	tests[129].P3 = tests[129].P3[:3]
+	var msgs []string
+	for _, workers := range []int{1, 4} {
+		_, err := RunParallel(context.Background(), c, tests, fcs, workers)
+		if err == nil {
+			t.Fatalf("workers=%d: short test accepted", workers)
+		}
+		msgs = append(msgs, err.Error())
+	}
+	if msgs[0] != msgs[1] || !strings.Contains(msgs[0], "test 129") {
+		t.Errorf("errors differ or miss the test index: %q", msgs)
 	}
 }
 
@@ -107,9 +200,9 @@ func TestRunParallelCanceled(t *testing.T) {
 	if _, err := RunParallel(ctx, c, tests, fcs, 4); err != context.Canceled {
 		t.Errorf("canceled RunParallel err = %v, want context.Canceled", err)
 	}
-	// The serial fallback must also observe cancellation.
+	// The serial path must also observe cancellation.
 	if _, err := RunParallel(ctx, c, tests, fcs, 1); err != context.Canceled {
-		t.Errorf("canceled serial fallback err = %v, want context.Canceled", err)
+		t.Errorf("canceled serial path err = %v, want context.Canceled", err)
 	}
 }
 
@@ -124,9 +217,8 @@ func TestRunParallelEmpty(t *testing.T) {
 }
 
 // BenchmarkRunParallel4 exercises the sharded path end to end; on
-// multi-core hosts it parallelizes the dominant per-test simulation
-// cost. (The short-circuit win of Run itself is benchmarked in
-// shortcircuit_bench_test.go on a generated-test workload.)
+// multi-core hosts it parallelizes the batch simulation and the fault
+// scan.
 func BenchmarkRunParallel4(b *testing.B) {
 	c, tests, fcs := simSetup(b, "s1423", 1000, 128)
 	b.ResetTimer()

@@ -9,8 +9,8 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/bitsim"
 	"repro/internal/circuit"
-	"repro/internal/faultsim"
 	"repro/internal/robust"
 	"repro/internal/tval"
 )
@@ -51,9 +51,13 @@ type Report struct {
 }
 
 // Build fault simulates the test set over the fault list and assembles
-// the report.
-func Build(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) *Report {
-	first := faultsim.Run(c, tests, fcs)
+// the report. It fails only on a test whose patterns do not match the
+// circuit's inputs.
+func Build(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultConditions) (*Report, error) {
+	first, err := bitsim.Run(c, tests, fcs)
+	if err != nil {
+		return nil, err
+	}
 	r := &Report{Faults: len(fcs)}
 
 	byLen := map[int]*LengthBucket{}
@@ -102,7 +106,7 @@ func Build(c *circuit.Circuit, tests []circuit.TwoPattern, fcs []robust.FaultCon
 		r.TestStats.Transitions = float64(tr) / float64(len(tests))
 		r.TestStats.DetectedPerTest = float64(r.Detected) / float64(len(tests))
 	}
-	return r
+	return r, nil
 }
 
 // Render prints the report.

@@ -17,13 +17,16 @@ func TestBuildAndRender(t *testing.T) {
 	}
 	fcs := d.All()
 	er := core.Enrich(c, d.P0, d.P1, core.Config{Seed: 1})
-	r := Build(c, er.Tests, fcs)
+	r, err := Build(c, er.Tests, fcs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if r.Faults != len(fcs) {
 		t.Errorf("Faults = %d, want %d", r.Faults, len(fcs))
 	}
-	if r.Detected != er.DetectedP0Count+er.DetectedP1Count {
-		t.Errorf("Detected = %d, want %d", r.Detected, er.DetectedP0Count+er.DetectedP1Count)
+	if r.Detected != er.DetectedCounts[0]+er.DetectedCounts[1] {
+		t.Errorf("Detected = %d, want %d", r.Detected, er.DetectedCounts[0]+er.DetectedCounts[1])
 	}
 	// Bucket totals must add up.
 	totLen, detLen := 0, 0
@@ -68,7 +71,10 @@ func TestBuildEmptyTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Build(c, nil, d.All())
+	r, err := Build(c, nil, d.All())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Detected != 0 || r.TestStats.Tests != 0 {
 		t.Errorf("empty test set report wrong: %+v", r)
 	}

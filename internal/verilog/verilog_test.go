@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/circuit"
+	"repro/internal/tval"
 )
 
 const c17Verilog = `// c17 in structural verilog
@@ -75,6 +77,64 @@ func TestParseS27VerilogMatchesBench(t *testing.T) {
 			t.Errorf("signal %s missing", n)
 		}
 	}
+}
+
+// sameFunction checks exhaustively that the parsed circuit v computes
+// the same outputs as the .bench circuit b. Inputs and outputs are
+// matched by name, with name mapping a .bench name to its Verilog one.
+func sameFunction(t *testing.T, b, v *circuit.Circuit, name func(string) string) {
+	t.Helper()
+	if len(b.PIs) != len(v.PIs) || len(b.POs) != len(v.POs) {
+		t.Fatalf("interfaces differ: %d/%d inputs, %d/%d outputs",
+			len(b.PIs), len(v.PIs), len(b.POs), len(v.POs))
+	}
+	vIndex := map[string]int{}
+	for i, pi := range v.PIs {
+		vIndex[v.Lines[pi].Name] = i
+	}
+	order := make([]int, len(b.PIs)) // order[i]: position in v of b's input i
+	for i, pi := range b.PIs {
+		k, ok := vIndex[name(b.Lines[pi].Name)]
+		if !ok {
+			t.Fatalf("input %s missing from the Verilog circuit", b.Lines[pi].Name)
+		}
+		order[i] = k
+	}
+	pb := make([]tval.V, len(b.PIs))
+	pv := make([]tval.V, len(v.PIs))
+	for code := 0; code < 1<<len(b.PIs); code++ {
+		for i := range pb {
+			pb[i] = tval.V(code >> i & 1)
+			pv[order[i]] = pb[i]
+		}
+		sb := circuit.SimulateTriples(b, pb, pb)
+		sv := circuit.SimulateTriples(v, pv, pv)
+		for _, po := range b.POs {
+			out := v.LineByName(name(b.Lines[po].Name))
+			if out == nil {
+				t.Fatalf("output %s missing from the Verilog circuit", b.Lines[po].Name)
+			}
+			if got, want := sv[out.ID].P3(), sb[po].P3(); got != want {
+				t.Fatalf("input %v: output %s is %v in Verilog, %v in .bench",
+					pb, out.Name, got, want)
+			}
+		}
+	}
+}
+
+// The Verilog netlists must compute the embedded .bench circuits'
+// functions on every input combination, not just match their shape.
+func TestBenchVsVerilogExhaustive(t *testing.T) {
+	c17, err := ParseCombinational("c17", strings.NewReader(c17Verilog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFunction(t, bench.C17(), c17, func(n string) string { return "N" + n })
+	s27, err := ParseCombinational("s27", strings.NewReader(s27Verilog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameFunction(t, bench.S27(), s27, func(n string) string { return n })
 }
 
 func TestParseErrors(t *testing.T) {
