@@ -66,3 +66,18 @@ func GoodUnordered(seen map[string]int) int {
 	}
 	return total
 }
+
+// BadLiteralSortOutside ranges inside a literal and sorts outside it:
+// the sort scope is the literal's own frame, so the append is still
+// unordered when the literal returns.
+func BadLiteralSortOutside(seen map[string]int) []string {
+	var out []string
+	collect := func() {
+		for k := range seen {
+			out = append(out, k) // want `append to out inside range over map seen`
+		}
+	}
+	collect()
+	sort.Strings(out)
+	return out
+}
