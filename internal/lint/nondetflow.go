@@ -9,8 +9,8 @@ import (
 // iteration order must never reach a determinism sink — the digest
 // functions, store keys and journal records that serial-vs-parallel
 // equivalence, journal replay and the perfreg baseline key on.
-// Intra-procedurally the per-package rand/timenow/maporder analyzers
-// flag the sources in the generation packages; this analyzer covers
+// The rand/timenow/maporder analyzers flag the sources themselves in
+// the generation packages; this analyzer covers
 // the other direction: a tainted value produced anywhere (a helper in
 // cmd/, a cluster handler) flowing through returns and assignments
 // into a sink. Config.NondetSinks names the sinks and which argument
