@@ -49,8 +49,8 @@
 //	GET    /v1/metrics          Prometheus text exposition (OpenMetrics + exemplars via Accept)
 //	GET    /v1/metrics.json     queue/cache/latency/resilience counters as JSON
 //
-// The pre-/v1 routes (/jobs, /jobs/{id}, /healthz, /metrics) still
-// answer with a Deprecation header pointing at their successors.
+// The pre-/v1 routes (/jobs, /jobs/{id}, /healthz, /metrics) are
+// sunset: they answer 404 not_found naming their /v1 successors.
 // Errors everywhere use one envelope:
 // {"error":{"code":"overloaded","message":"...","retry_after_ms":1000}}.
 //
