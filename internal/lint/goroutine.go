@@ -12,34 +12,30 @@ import (
 // for by a sync.WaitGroup (Add before the spawn / Done inside the
 // body). Untracked goroutines in daemon-lifetime code are how
 // shutdown deadlocks and goroutine leaks start; the engine's own
-// chaos suite asserts zero leaked goroutines after Shutdown.
+// chaos suite asserts zero leaked goroutines after Shutdown. It is a
+// query over the go statements the facts walker records.
 var AnalyzerGoFunc = &Analyzer{
-	Name: "gofunc",
-	Doc:  "goroutine in a long-lived package that is neither context-aware nor WaitGroup-tracked",
-	Run:  runGoFunc,
+	Name:      "gofunc",
+	Doc:       "goroutine in a long-lived package that is neither context-aware nor WaitGroup-tracked",
+	RunModule: queryGoFunc,
 }
 
-func runGoFunc(pass *Pass) {
-	if !pass.Config.LongLived(pass.Pkg) {
-		return
-	}
-	for _, file := range pass.Pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			gs, isGo := n.(*ast.GoStmt)
-			if !isGo {
-				return true
+func queryGoFunc(mp *ModulePass) {
+	for _, n := range mp.Facts.walked {
+		if !mp.Config.LongLived(n.Pkg) {
+			continue
+		}
+		pass := &Pass{Pkg: n.Pkg}
+		for _, gs := range n.goStmts {
+			if !goStmtTracked(mp.Facts.Graph, pass, gs) {
+				mp.Report(gs.Pos(), nil,
+					"goroutine is neither context-aware nor WaitGroup-tracked: take/capture a context.Context or pair it with wg.Add/wg.Done so shutdown can account for it")
 			}
-			if goStmtTracked(pass, gs) {
-				return true
-			}
-			pass.Reportf(gs.Pos(),
-				"goroutine is neither context-aware nor WaitGroup-tracked: take/capture a context.Context or pair it with wg.Add/wg.Done so shutdown can account for it")
-			return true
-		})
+		}
 	}
 }
 
-func goStmtTracked(pass *Pass, gs *ast.GoStmt) bool {
+func goStmtTracked(g *CallGraph, pass *Pass, gs *ast.GoStmt) bool {
 	// An argument of type context.Context makes the goroutine
 	// cancelable regardless of what is being called.
 	for _, arg := range gs.Call.Args {
@@ -69,41 +65,11 @@ func goStmtTracked(pass *Pass, gs *ast.GoStmt) bool {
 		}
 		// Same-package callee: tracked if its body is (`go e.worker()`
 		// where worker starts with `defer e.wg.Done()`).
-		if body := calleeBody(pass, gs.Call.Fun); body != nil {
-			return bodyTracked(pass, body)
+		if callee := g.resolveCallee(pass.Pkg, gs.Call); callee != nil && callee.Pkg == pass.Pkg {
+			return bodyTracked(pass, callee.Decl.Body)
 		}
 	}
 	return false
-}
-
-// calleeBody resolves fun to a function or method declared in the
-// package under analysis and returns its body, or nil.
-func calleeBody(pass *Pass, fun ast.Expr) *ast.BlockStmt {
-	var id *ast.Ident
-	switch fun := fun.(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	obj := pass.ObjectOf(id)
-	if obj == nil || obj.Pkg() == nil || obj.Pkg().Path() != pass.Pkg.PkgPath {
-		return nil
-	}
-	for _, file := range pass.Pkg.Files {
-		for _, decl := range file.Decls {
-			fd, isFunc := decl.(*ast.FuncDecl)
-			if !isFunc || fd.Body == nil || fd.Name.Name != id.Name {
-				continue
-			}
-			if pass.ObjectOf(fd.Name) == obj {
-				return fd.Body
-			}
-		}
-	}
-	return nil
 }
 
 // bodyTracked reports whether the goroutine body references a

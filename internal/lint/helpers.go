@@ -148,26 +148,6 @@ func exprString(e ast.Expr) string {
 	return "?"
 }
 
-// funcBodies yields every function body of the file — declarations
-// and function literals — exactly once, with literals visited as
-// independent functions (a literal's body is analyzed in its own
-// frame, not its enclosing function's).
-func funcBodies(file *ast.File, visit func(name string, body *ast.BlockStmt)) {
-	for _, decl := range file.Decls {
-		fd, isFunc := decl.(*ast.FuncDecl)
-		if !isFunc || fd.Body == nil {
-			continue
-		}
-		visit(fd.Name.Name, fd.Body)
-	}
-	ast.Inspect(file, func(n ast.Node) bool {
-		if fl, isLit := n.(*ast.FuncLit); isLit && fl.Body != nil {
-			visit("func literal", fl.Body)
-		}
-		return true
-	})
-}
-
 // containsIdentObj reports whether the subtree contains an identifier
 // resolving to obj (used to find "the sink is sorted later").
 func containsIdentObj(pass *Pass, root ast.Node, obj types.Object) bool {

@@ -134,22 +134,25 @@ func constString(pass *Pass, expr ast.Expr) (string, bool) {
 // a span assigned to the blank identifier or a dropped return value
 // can never end and is always a finding. Unended spans hold their
 // slot in the per-trace cap forever and report zero duration in
-// /v1/jobs/{id}/trace.
+// /v1/jobs/{id}/trace. It runs over the frames (function bodies and
+// literals) the facts walker records.
 var AnalyzerSpanEnd = &Analyzer{
-	Name: "spanend",
-	Doc:  "obs.StartSpan whose span is discarded or never .End()ed in the starting function",
-	Run:  runSpanEnd,
+	Name:      "spanend",
+	Doc:       "obs.StartSpan whose span is discarded or never .End()ed in the starting function",
+	RunModule: querySpanEnd,
 }
 
-func runSpanEnd(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
-		funcBodies(file, func(name string, body *ast.BlockStmt) {
-			runSpanEndFunc(pass, file, body)
-		})
+func querySpanEnd(mp *ModulePass) {
+	for _, n := range mp.Facts.walked {
+		pass := &Pass{Analyzer: mp.Analyzer, Pkg: n.Pkg, Config: mp.Config}
+		for _, fr := range n.frames {
+			spanEndFrame(pass, n.File, fr.body)
+		}
+		mp.diags = append(mp.diags, pass.diags...)
 	}
 }
 
-func runSpanEndFunc(pass *Pass, file *ast.File, body *ast.BlockStmt) {
+func spanEndFrame(pass *Pass, file *ast.File, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, isLit := n.(*ast.FuncLit); isLit && n.Pos() != body.Pos() {
 			return false // analyzed as its own frame
