@@ -41,18 +41,27 @@ func (g *generator) pickPrimary() int {
 	return -1
 }
 
-// addSecondariesPhased runs the secondary loop over k phases.
+// addSecondariesPhased runs the secondary loop over k phases. Under
+// the value-based ordering each candidate's nΔ is computed once per
+// cube: a rejected candidate leaves the cube unchanged, so the deltas
+// are recomputed only after an accept.
 func (g *generator) addSecondariesPhased(primary int, test circuit.TwoPattern, cube robust.Cube, res *Result, k int) circuit.TwoPattern {
 	sim := test.Simulate(g.c)
 	for phase := 0; phase < k; phase++ {
 		cand := g.candidates(primary, phase)
+		stale := true
 		for len(cand) > 0 {
 			if g.canceled() {
 				return test
 			}
 			pick := 0
 			if g.cfg.Heuristic == ValueBased {
-				pick = g.minDeltaIndex(cand, &cube)
+				if stale {
+					g.minDeltas(cand, &cube)
+					stale = false
+				}
+				pick = g.minDeltaIndex()
+				g.delta = append(g.delta[:pick], g.delta[pick+1:]...)
 			}
 			fi := cand[pick]
 			cand = append(cand[:pick], cand[pick+1:]...)
@@ -68,16 +77,22 @@ func (g *generator) addSecondariesPhased(primary int, test circuit.TwoPattern, c
 					if alt.CoveredBy(sim) {
 						if m, mok := cube.Merge(alt); mok {
 							newCube, newTest, ok, cheap = m, test, true, true
+							// The merged cube is covered by a real test,
+							// so its implication cannot conflict.
+							if g.im != nil && !g.im.Extend(alt) {
+								panic("core: a cube covered by a test implies a conflict")
+							}
 						}
 						break
 					}
 				}
 			}
 			if !ok {
-				newTest, newCube, ok = g.justifyFault(fi, &cube)
+				newTest, newCube, ok = g.justifyFault(fi, &cube, res)
 			}
 			if ok {
 				cube = newCube
+				stale = true
 				if !cheap {
 					test = newTest
 					sim = test.Simulate(g.c)

@@ -68,12 +68,27 @@ func NewBnB(c *circuit.Circuit, cfg BnBConfig) *BnB {
 // Stats returns accumulated counters.
 func (b *BnB) Stats() BnBStats { return b.stats }
 
+// Implier returns the search's implier; see Justifier.Implier.
+func (b *BnB) Implier() *robust.Implier { return b.im }
+
 // Justify searches exhaustively for a test covering the cube.
 // ok reports success. When ok is false, proven reports whether the
 // search was exhaustive: proven=true means no fully specified
 // two-pattern test covers the cube (the fault combination is
 // untestable), proven=false means the backtrack bound was hit.
 func (b *BnB) Justify(cube *robust.Cube) (test circuit.TwoPattern, ok, proven bool) {
+	if !b.cfg.DisableImplicationSeed && !b.im.ImplyConsistent(cube) {
+		b.stats.Calls++
+		b.stats.Proofs++
+		return test, false, true
+	}
+	return b.JustifyImplied(cube)
+}
+
+// JustifyImplied is Justify for a cube whose implication fixpoint the
+// implier already holds, free of conflict; see
+// Justifier.JustifyImplied.
+func (b *BnB) JustifyImplied(cube *robust.Cube) (test circuit.TwoPattern, ok, proven bool) {
 	b.stats.Calls++
 	defer func() {
 		for _, net := range b.reqList {
@@ -89,10 +104,6 @@ func (b *BnB) Justify(cube *robust.Cube) (test circuit.TwoPattern, ok, proven bo
 	b.backtracks = 0
 
 	if !b.cfg.DisableImplicationSeed {
-		if !b.im.ImplyConsistent(cube) {
-			b.stats.Proofs++
-			return test, false, true
-		}
 		for _, pi := range b.c.PIs {
 			for _, plane := range []int{0, 2} {
 				if v := b.im.Value(pi, plane); v != tval.X {
