@@ -340,6 +340,7 @@ func (e *Engine) finish(j *Job, st Status, res *Result, hit bool, err error) boo
 		return false
 	}
 	e.afterTerminal(j, st, err)
+	j.closeDone()
 	return true
 }
 
@@ -566,6 +567,7 @@ func (e *Engine) Cancel(id string) bool {
 	}
 	if j.cancelQueued() {
 		e.afterTerminal(j, StatusCanceled, context.Canceled)
+		j.closeDone()
 		e.journalAppend(journal.Record{Op: journal.OpCanceled, JobID: j.id, Seq: j.seq})
 		return true
 	}
@@ -671,6 +673,7 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 	for _, j := range jobs {
 		if j.cancelQueued() {
 			e.afterTerminal(j, StatusCanceled, context.Canceled)
+			j.closeDone()
 		}
 	}
 	// Drain running jobs under the caller's deadline.
@@ -1126,7 +1129,7 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		res.TestPatterns = gres.Tests
 		res.PrimaryAborts = gres.PrimaryAborts
 		res.P0Detected = gres.DetectedCounts[0]
-		e.metrics.observeATPG(gres.JustifyStats, gres.SecondaryAcceptsBySet, gres.SecondaryRejectsBySet, gres.RegenPerTest)
+		e.metrics.observeATPG(gres)
 		genSpan.End(obs.Int("tests", len(gres.Tests)), obs.Int("aborts", gres.PrimaryAborts))
 		all := d.All()
 		res.AllTotal = len(all)
@@ -1157,7 +1160,7 @@ func (e *Engine) execute(ctx context.Context, j *Job) (*Result, bool, error) {
 		res.P1Detected = er.DetectedCounts[1]
 		res.AllTotal = len(p0) + len(p1)
 		res.AllDetected = er.DetectedCounts[0] + er.DetectedCounts[1]
-		e.metrics.observeATPG(er.JustifyStats, er.SecondaryAcceptsBySet, er.SecondaryRejectsBySet, er.RegenPerTest)
+		e.metrics.observeATPG(er)
 		genSpan.End(obs.Int("tests", len(er.Tests)), obs.Int("aborts", er.PrimaryAborts))
 		e.stageDone(j, "enrich", time.Since(t1))
 	case KindFaultSim:

@@ -383,6 +383,8 @@ func (j *Job) ViewLite() JobView {
 // this call performed the transition; a job that is already terminal is
 // left untouched, so two racing finishers (e.g. Cancel and a worker)
 // cannot overwrite each other's terminal state or double-count metrics.
+// The winner must call closeDone once the transition's counters are
+// recorded.
 func (j *Job) markDone(st Status, res *Result, hit bool, err error) bool {
 	j.mu.Lock()
 	if j.status.Terminal() {
@@ -395,15 +397,20 @@ func (j *Job) markDone(st Status, res *Result, hit bool, err error) bool {
 	j.err = err
 	j.finished = time.Now()
 	j.mu.Unlock()
-	j.doneOnce.Do(func() { close(j.done) })
 	return true
 }
+
+// closeDone releases the waiters of a terminal job. It runs after
+// Engine.afterTerminal, so a waiter that reads the metrics as soon as
+// Wait returns sees this job counted.
+func (j *Job) closeDone() { j.doneOnce.Do(func() { close(j.done) }) }
 
 // cancelQueued moves a still-queued (or retrying, i.e. waiting out a
 // backoff) job to Canceled atomically under j.mu, so a worker that
 // dequeues it afterwards observes a terminal status and skips it — the
 // job can never be both canceled and run. A pending retry timer is
-// stopped. It reports whether the transition happened.
+// stopped. It reports whether the transition happened; like markDone,
+// the winner must call closeDone after recording the transition.
 func (j *Job) cancelQueued() bool {
 	j.mu.Lock()
 	if j.status != StatusQueued && j.status != StatusRetrying {
@@ -419,7 +426,6 @@ func (j *Job) cancelQueued() bool {
 	if timer != nil {
 		timer.Stop()
 	}
-	j.doneOnce.Do(func() { close(j.done) })
 	return true
 }
 

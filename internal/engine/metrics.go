@@ -6,7 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/justify"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -34,9 +34,11 @@ type Metrics struct {
 	// Algorithm-level telemetry, accumulated from every generate and
 	// enrich run: the justification effort and the secondary-target
 	// outcomes the paper's cost/coverage argument is about.
-	justifyCalls      atomic.Int64
-	justifyProbes     atomic.Int64
-	justifyBacktracks atomic.Int64
+	justifyCalls       atomic.Int64
+	justifyProbes      atomic.Int64
+	justifyPruned      atomic.Int64
+	justifyBacktracks  atomic.Int64
+	implicationRejects atomic.Int64
 
 	// Fixed-bucket latency histograms (seconds): per pipeline stage,
 	// end-to-end per job (labeled by kind and terminal status), and
@@ -112,21 +114,24 @@ func newMetrics() *Metrics {
 
 // observeATPG folds one generation/enrichment run's algorithm-level
 // telemetry into the cumulative metrics.
-func (m *Metrics) observeATPG(js justify.Stats, acceptsBySet, rejectsBySet, regenPerTest []int) {
+func (m *Metrics) observeATPG(res *core.Result) {
+	js := res.JustifyStats
 	m.justifyCalls.Add(int64(js.Calls))
 	m.justifyProbes.Add(int64(js.Probes))
+	m.justifyPruned.Add(int64(js.Pruned))
 	m.justifyBacktracks.Add(int64(js.Backtracks))
-	for s, n := range acceptsBySet {
+	m.implicationRejects.Add(int64(res.ImplicationRejects))
+	for s, n := range res.SecondaryAcceptsBySet {
 		if n > 0 {
 			m.secondaryOutcomes.With(setLabel(s), "accept").Add(int64(n))
 		}
 	}
-	for s, n := range rejectsBySet {
+	for s, n := range res.SecondaryRejectsBySet {
 		if n > 0 {
 			m.secondaryOutcomes.With(setLabel(s), "reject").Add(int64(n))
 		}
 	}
-	for _, r := range regenPerTest {
+	for _, r := range res.RegenPerTest {
 		m.regenPerTest.Observe(float64(r))
 	}
 }
@@ -229,8 +234,10 @@ func buildRegistry(e *Engine) *obs.Registry {
 		ctr("pdfd_journal_appends_total", "Journal records appended.", &m.journalAppends),
 		ctr("pdfd_journal_errors_total", "Journal append/compact failures.", &m.journalErrors),
 		ctr("pdfd_journal_compactions_total", "Journal compactions completed.", &m.journalCompactions),
-		ctr("pdfd_atpg_justify_calls_total", "Justification procedure invocations across all runs.", &m.justifyCalls),
-		ctr("pdfd_atpg_justify_probes_total", "Tentative value probes made by the justifiers.", &m.justifyProbes),
+		ctr("pdfd_atpg_justify_calls_total", "Justification procedure invocations across all runs; secondary cubes rejected by incremental implication never reach the justifier and are counted in pdfd_atpg_implication_rejects_total instead.", &m.justifyCalls),
+		ctr("pdfd_atpg_justify_probes_total", "Tentative value probes simulated by the justifiers; probes that cannot conflict are skipped and counted in pdfd_atpg_justify_pruned_total instead.", &m.justifyProbes),
+		ctr("pdfd_atpg_justify_pruned_total", "Tentative value probes skipped because their input reaches no still-unspecified required net.", &m.justifyPruned),
+		ctr("pdfd_atpg_implication_rejects_total", "Secondary-target alternatives rejected by incremental implication before reaching the justifier.", &m.implicationRejects),
 		ctr("pdfd_atpg_justify_backtracks_total", "Branch-and-bound justification backtracks (zero for the simulation-based justifier).", &m.justifyBacktracks),
 		obs.NewCounterFunc("pdfd_events_published_total", "Job lifecycle events published on the event bus.",
 			func() float64 { return float64(e.events.Published()) }),

@@ -116,7 +116,8 @@ func TestEngineCancelSubmitStress(t *testing.T) {
 }
 
 // A job's first terminal transition wins; later markDone calls are
-// no-ops.
+// no-ops. The transition itself does not release waiters: the winner
+// closes done after recording the transition's counters.
 func TestJobMarkDoneIdempotent(t *testing.T) {
 	j := &Job{id: "j1", status: StatusQueued, done: make(chan struct{})}
 	if !j.cancelQueued() {
@@ -132,6 +133,12 @@ func TestJobMarkDoneIdempotent(t *testing.T) {
 	if v.Status != StatusCanceled || v.Result != nil {
 		t.Errorf("terminal state overwritten: status %s, result %v", v.Status, v.Result)
 	}
+	select {
+	case <-j.Done():
+		t.Error("done channel closed before the winner recorded the transition")
+	default:
+	}
+	j.closeDone()
 	select {
 	case <-j.Done():
 	default:

@@ -543,6 +543,24 @@ func TestServerPrometheusExposition(t *testing.T) {
 	if v := samples["pdfd_jobs_done_total"][0].value; v < 1 {
 		t.Errorf("pdfd_jobs_done_total = %v, want >= 1", v)
 	}
+	// The justification effort counters, including the work the
+	// justifier was spared: probes pruned and secondary alternatives
+	// rejected by incremental implication.
+	atpg := map[string]float64{}
+	for _, name := range []string{
+		"pdfd_atpg_justify_calls_total", "pdfd_atpg_justify_probes_total",
+		"pdfd_atpg_justify_pruned_total", "pdfd_atpg_implication_rejects_total",
+	} {
+		if types[name] != "counter" || len(samples[name]) != 1 {
+			t.Errorf("%s: TYPE %q with %d samples, want one counter", name, types[name], len(samples[name]))
+			continue
+		}
+		atpg[name] = samples[name][0].value
+	}
+	if atpg["pdfd_atpg_justify_calls_total"] < 1 ||
+		atpg["pdfd_atpg_justify_probes_total"]+atpg["pdfd_atpg_justify_pruned_total"] < 1 {
+		t.Errorf("justification counters %v: want calls and probes+pruned >= 1", atpg)
+	}
 	for _, name := range []string{"pdfd_jobs_running", "pdfd_queue_depth", "pdfd_overloaded"} {
 		if types[name] != "gauge" {
 			t.Errorf("%s: TYPE %q, want gauge", name, types[name])
