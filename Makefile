@@ -2,7 +2,7 @@ GO ?= go
 
 # The committed performance baseline `make bench-check` gates against;
 # refresh it with `make bench` and commit the new file (see PERF.md).
-BENCH_BASELINE ?= BENCH_2026-08-06.json
+BENCH_BASELINE ?= BENCH_2026-10-17.json
 
 .PHONY: build test lint race check chaos chaos-cluster obs-smoke cluster-smoke tenant-smoke bench bench-check go-bench engine-bench
 
