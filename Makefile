@@ -4,7 +4,7 @@ GO ?= go
 # refresh it with `make bench` and commit the new file (see PERF.md).
 BENCH_BASELINE ?= BENCH_2026-10-17.json
 
-.PHONY: build test lint race check chaos chaos-cluster obs-smoke cluster-smoke tenant-smoke bench bench-check go-bench engine-bench
+.PHONY: build test lint race check chaos chaos-cluster obs-smoke cluster-smoke tenant-smoke fuzz-smoke bench bench-check go-bench engine-bench
 
 build:
 	$(GO) build ./...
@@ -61,8 +61,19 @@ cluster-smoke:
 tenant-smoke:
 	$(GO) test -race -count=1 -run 'TestTenantSmoke' -v ./internal/cli/
 
-# The CI gate: vet + build + full suite under -race + the performance
-# regression gate against the committed baseline.
+# Fuzz smoke: each native fuzz target mutates for a few seconds beyond
+# its committed corpus (plain `go test` only replays the corpus).
+# -fuzz takes one target per package, so one invocation per target.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCombinational$$' -fuzztime=3s ./internal/bench/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime=3s ./internal/verilog/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTests$$' -fuzztime=3s ./internal/testio/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFaults$$' -fuzztime=3s ./internal/testio/
+	$(GO) test -run '^$$' -fuzz '^FuzzScreen$$' -fuzztime=3s ./internal/robust/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime=3s ./internal/obs/
+
+# The CI gate: vet + build + full suite under -race + the fuzz smoke +
+# the performance regression gate against the committed baseline.
 check:
 	$(GO) vet ./...
 	$(MAKE) lint
@@ -71,6 +82,7 @@ check:
 	$(MAKE) cluster-smoke
 	$(MAKE) tenant-smoke
 	$(MAKE) chaos-cluster
+	$(MAKE) fuzz-smoke
 	$(MAKE) bench-check
 
 # Run the perfreg suite and write a fresh BENCH_<date>.json snapshot

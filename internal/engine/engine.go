@@ -298,9 +298,18 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec Spec) (*Job, error) {
 	// tenant queue after Close (which flips closed under the same
 	// mutex) has started draining. jobsSubmitted is bumped before the
 	// enqueue so the derived queued gauge never goes negative if a
-	// worker finishes the job immediately.
+	// worker finishes the job immediately. "queued" is published on
+	// admission, before a worker can run the job and close its stream;
+	// a refused job publishes nothing, so its ID, handed to the next
+	// submission, starts with a clean stream.
 	e.metrics.jobsSubmitted.Add(1)
-	if err := e.sched.enqueue(j); err != nil {
+	publishQueued := func() {
+		e.events.Publish(j.id, "queued", map[string]string{
+			"kind": string(spec.Kind), "circuit": spec.Circuit,
+			"tenant": spec.Tenant, "priority": spec.Priority,
+		})
+	}
+	if err := e.sched.enqueue(j, publishQueued); err != nil {
 		e.metrics.jobsSubmitted.Add(-1)
 		e.seq--
 		e.mu.Unlock()
@@ -322,10 +331,6 @@ func (e *Engine) SubmitCtx(ctx context.Context, spec Spec) (*Job, error) {
 	// submissions. A worker may journal this job's OpStarted first;
 	// replay is order-insensitive.
 	e.journalAppend(journal.Record{Op: journal.OpSubmitted, JobID: j.id, Seq: j.seq, Tenant: spec.Tenant, Spec: marshalSpec(spec)})
-	e.events.Publish(j.id, "queued", map[string]string{
-		"kind": string(spec.Kind), "circuit": spec.Circuit,
-		"tenant": spec.Tenant, "priority": spec.Priority,
-	})
 	e.updateWatermark()
 	e.log.Debug("job submitted", "job_id", j.id, "kind", spec.Kind, "circuit", spec.Circuit,
 		"tenant", spec.Tenant, "priority", spec.Priority)
@@ -866,7 +871,7 @@ func (e *Engine) requeue(j *Job) {
 		e.mu.Unlock()
 		return // canceled during backoff
 	}
-	if err := e.sched.enqueue(j); err != nil {
+	if err := e.sched.enqueue(j, nil); err != nil {
 		// No room: back to the retry window, try again shortly.
 		j.swapStatus(StatusQueued, StatusRetrying)
 		e.mu.Unlock()
@@ -985,13 +990,20 @@ func (e *Engine) Restore(recs []journal.Record) (int, error) {
 			e.mu.Unlock()
 			continue
 		}
-		err = e.sched.enqueue(j)
+		// "queued" is published on admission, as in SubmitCtx.
+		publishQueued := func() {
+			e.events.Publish(j.id, "queued", map[string]string{
+				"kind": string(spec.Kind), "circuit": spec.Circuit,
+				"tenant": spec.Tenant, "priority": spec.Priority, "replayed": "true",
+			})
+		}
+		err = e.sched.enqueue(j, publishQueued)
 		if errors.Is(err, ErrUnknownTenant) {
 			// The tenant roster changed across the restart; don't lose
 			// the job — rehome it on the default tenant.
 			j.spec.Tenant = DefaultTenant
 			spec.Tenant = DefaultTenant
-			err = e.sched.enqueue(j)
+			err = e.sched.enqueue(j, publishQueued)
 		}
 		if err != nil {
 			e.mu.Unlock()
@@ -1001,10 +1013,6 @@ func (e *Engine) Restore(recs []journal.Record) (int, error) {
 		e.jobs[j.id] = j
 		e.order = append(e.order, j.id)
 		e.mu.Unlock()
-		e.events.Publish(j.id, "queued", map[string]string{
-			"kind": string(spec.Kind), "circuit": spec.Circuit,
-			"tenant": spec.Tenant, "priority": spec.Priority, "replayed": "true",
-		})
 		n++
 	}
 	return n, nil

@@ -69,6 +69,63 @@ func TestEngineSubmitBusyConcurrent(t *testing.T) {
 	e.Close()
 }
 
+// Regression: "queued" used to be published after the enqueue, so a
+// fast worker could run the job and close its stream first. It is now
+// published on admission, under the scheduler lock. A refused submit
+// must publish nothing: its ID is handed to the next submission, whose
+// stream must then hold exactly one "queued", as its first event.
+func TestEngineQueuedEventOnAdmissionOnly(t *testing.T) {
+	hold := &dispatchRecorder{gate: make(chan struct{})}
+	e := New(Config{Workers: 1, QueueDepth: 1, Injector: InjectorFunc(hold.inject)})
+	defer e.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	running, err := e.Submit(s27Spec(KindGenerate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold.waitLen(t, 1) // the worker is parked on the gate
+	queued, err := e.Submit(s27Spec(KindGenerate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Submit(s27Spec(KindGenerate)); !errors.Is(err, ErrBusy) {
+		t.Fatalf("third submit on a full queue: err = %v, want ErrBusy", err)
+	}
+	close(hold.gate)
+	for _, j := range []*Job{running, queued} {
+		if _, err := e.Wait(ctx, j.ID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next, err := e.Submit(s27Spec(KindGenerate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID() != "j3" {
+		t.Fatalf("next submit got ID %s, want the refused submit's j3", next.ID())
+	}
+	if _, err := e.Wait(ctx, next.ID()); err != nil {
+		t.Fatal(err)
+	}
+
+	sub := e.Events().Subscribe(next.ID(), 0, 0)
+	var types []string
+	for ev := range sub.Events() {
+		types = append(types, ev.Type)
+	}
+	n := 0
+	for _, typ := range types {
+		if typ == "queued" {
+			n++
+		}
+	}
+	if n != 1 || types[0] != "queued" {
+		t.Fatalf("job %s (the refused submit's ID) stream %v: want exactly one queued, first", next.ID(), types)
+	}
+}
+
 // Regression: Cancel's queued path used to mark the job canceled after
 // releasing j.mu, racing a worker that dequeues it in the window — the
 // job could report canceled yet run to completion, with a second

@@ -148,8 +148,11 @@ func (s *sched) signal() {
 // queue bound. In strict mode (tenants configured) an unknown tenant
 // is rejected and overflow sheds with ErrQuotaExceeded; in anonymous
 // mode unseen tenants are admitted with default bounds and overflow
-// keeps the seed-era ErrBusy.
-func (s *sched) enqueue(j *Job) error {
+// keeps the seed-era ErrBusy. admitted, if non-nil, runs under s.mu
+// once the job is accepted and before any worker can dequeue it, so
+// what it publishes precedes everything the job's run publishes; a
+// refused job never runs it.
+func (s *sched) enqueue(j *Job, admitted func()) error {
 	name := j.spec.Tenant
 	s.mu.Lock()
 	t := s.tenants[name]
@@ -168,6 +171,9 @@ func (s *sched) enqueue(j *Job) error {
 			return ErrQuotaExceeded
 		}
 		return ErrBusy
+	}
+	if admitted != nil {
+		admitted()
 	}
 	i := priIndex(j.spec.Priority)
 	t.queues[i] = append(t.queues[i], j)

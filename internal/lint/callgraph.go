@@ -62,9 +62,11 @@ type FuncNode struct {
 	lockEdges   []lockEdge // intra-procedural acquisition-order edges
 
 	// Per-frame records of the walker (facts.go): the bodies walked,
-	// blocking operations under a held lock, nondeterminism source
-	// calls, ordered writes inside map ranges and go statements.
+	// every call expression with its frame, blocking operations under
+	// a held lock, nondeterminism source calls, ordered writes inside
+	// map ranges and go statements.
 	frames    []*frame
+	calls     []frameCall
 	lockedOps []lockedOp
 	sources   []nondetCall
 	mapSinks  []mapSink

@@ -393,6 +393,13 @@ type frame struct {
 	unlocked map[string]bool
 }
 
+// frameCall is one call expression and the frame it sits in; frame is
+// nil for package-level initializer expressions outside any literal.
+type frameCall struct {
+	call  *ast.CallExpr
+	frame *frame
+}
+
 // lockedOp is one blocking operation met while a mutex is held, with
 // the longest-held lock's receiver and Lock position.
 type lockedOp struct {
@@ -453,6 +460,7 @@ func (fw *factWalker) stmt(stmt ast.Stmt, held heldLocks) {
 	case *ast.ExprStmt:
 		if call, isCall := s.X.(*ast.CallExpr); isCall {
 			if recv, op, ok := mutexOp(fw.pass, call); ok {
+				fw.scan(recv, held) // evaluated before the lock is taken
 				key := lockClassKey(fw.pass, fw.node.Key, recv)
 				text := fw.mutexCall(recv, op, call.Pos())
 				switch op {
@@ -480,6 +488,7 @@ func (fw *factWalker) stmt(stmt ast.Stmt, held heldLocks) {
 		fw.scan(s.X, held)
 	case *ast.DeferStmt:
 		if recv, op, ok := mutexOp(fw.pass, s.Call); ok && (op == "Unlock" || op == "RUnlock") {
+			fw.scan(recv, held)
 			fw.mutexCall(recv, op, s.Call.Pos())
 			return // held until return; keep it in the set
 		}
@@ -523,6 +532,8 @@ func (fw *factWalker) stmt(stmt ast.Stmt, held heldLocks) {
 		}
 	case *ast.RangeStmt:
 		fw.scan(s.X, held)
+		fw.scan(s.Key, held)
+		fw.scan(s.Value, held)
 		fw.mapRange(s)
 		fw.stmts(s.Body.List, held.clone())
 	case *ast.BlockStmt:
@@ -575,6 +586,7 @@ func (fw *factWalker) stmt(stmt ast.Stmt, held heldLocks) {
 		// propagates to this function's summary). The function value
 		// and the arguments are evaluated here, though.
 		fw.node.goStmts = append(fw.node.goStmts, s)
+		fw.node.calls = append(fw.node.calls, frameCall{s.Call, fw.frame})
 		for _, a := range s.Call.Args {
 			fw.scan(a, held)
 		}
@@ -614,6 +626,9 @@ func (fw *factWalker) commOperands(comm ast.Stmt, held heldLocks) {
 		fw.scan(received(c.X), held)
 	case *ast.AssignStmt:
 		fw.scan(received(c.Rhs[0]), held)
+		for _, e := range c.Lhs {
+			fw.scan(e, held)
+		}
 	}
 }
 
@@ -643,11 +658,12 @@ func (fw *factWalker) scan(root ast.Node, held heldLocks) {
 	})
 }
 
-// callSite records one call expression: a resolved module-local edge,
-// an intrinsic blocking witness, a nondeterminism source, a blocking
-// call under a held lock, and a Lock-family call for the balance
-// check.
+// callSite records one call expression: the call itself with its
+// frame, a resolved module-local edge, an intrinsic blocking witness,
+// a nondeterminism source, a blocking call under a held lock, and a
+// Lock-family call for the balance check.
 func (fw *factWalker) callSite(call *ast.CallExpr, held heldLocks) {
+	fw.node.calls = append(fw.node.calls, frameCall{call, fw.frame})
 	if recv, op, ok := mutexOp(fw.pass, call); ok {
 		fw.mutexCall(recv, op, call.Pos())
 	}

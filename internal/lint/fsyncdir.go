@@ -14,66 +14,45 @@ import (
 // not followed, later in the same function frame, by a call whose
 // name marks the directory sync (the project convention is syncDir;
 // any callee whose name contains "syncdir" counts, case-insensitive).
+// Frames pair separately: a function literal is its own frame, so a
+// rename in a literal needs the sync in that literal. It is a query
+// over the calls the facts walker records per frame.
 var AnalyzerFsyncDir = &Analyzer{
-	Name: "fsyncdir",
-	Doc:  "os.Rename on a durability path without a following parent-directory fsync",
-	Run:  runFsyncDir,
+	Name:      "fsyncdir",
+	Doc:       "os.Rename on a durability path without a following parent-directory fsync",
+	RunModule: queryFsyncDir,
 }
 
-func runFsyncDir(pass *Pass) {
-	if !pass.Config.Durable(pass.Pkg) {
-		return
-	}
-	for _, file := range pass.Pkg.Files {
-		for _, decl := range file.Decls {
-			if fd, isFunc := decl.(*ast.FuncDecl); isFunc && fd.Body != nil {
-				fsyncDirFrame(pass, file, fd.Body)
+func queryFsyncDir(mp *ModulePass) {
+	for _, n := range mp.Facts.walked {
+		if !mp.Config.Durable(n.Pkg) {
+			continue
+		}
+		pass := &Pass{Pkg: n.Pkg}
+		var renames []frameCall
+		syncs := make(map[*frame][]*ast.CallExpr)
+		for _, fc := range n.calls {
+			if fc.frame == nil {
+				continue // package-level initializer, not a frame
+			}
+			if pkgPath, name, ok := pkgFuncCall(pass, n.File, fc.call); ok && pkgPath == "os" && name == "Rename" {
+				renames = append(renames, fc)
+			} else if isDirSyncCall(fc.call) {
+				syncs[fc.frame] = append(syncs[fc.frame], fc.call)
 			}
 		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			if fl, isLit := n.(*ast.FuncLit); isLit && fl.Body != nil {
-				fsyncDirFrame(pass, file, fl.Body)
+		for _, r := range renames {
+			followed := false
+			for _, s := range syncs[r.frame] {
+				if s.Pos() > r.call.End() {
+					followed = true
+					break
+				}
 			}
-			return true
-		})
-	}
-}
-
-// fsyncDirFrame checks one function frame: every os.Rename in it must
-// have a directory-sync call at a later position. Nested function
-// literals are skipped — each is its own frame (a rename deferred into
-// a literal is paired with the sync in that literal).
-func fsyncDirFrame(pass *Pass, file *ast.File, body *ast.BlockStmt) {
-	var renames []*ast.CallExpr
-	var syncEnds []ast.Node
-	ast.Inspect(body, func(n ast.Node) bool {
-		if fl, isLit := n.(*ast.FuncLit); isLit && fl != nil {
-			return false
-		}
-		call, isCall := n.(*ast.CallExpr)
-		if !isCall {
-			return true
-		}
-		if pkgPath, name, ok := pkgFuncCall(pass, file, call); ok && pkgPath == "os" && name == "Rename" {
-			renames = append(renames, call)
-			return true
-		}
-		if isDirSyncCall(call) {
-			syncEnds = append(syncEnds, call)
-		}
-		return true
-	})
-	for _, r := range renames {
-		followed := false
-		for _, s := range syncEnds {
-			if s.Pos() > r.End() {
-				followed = true
-				break
+			if !followed {
+				mp.Report(r.call.Pos(), nil,
+					"os.Rename on the durability path is not followed by a parent-directory fsync: call syncDir(dir) after the rename, or the entry can vanish on crash")
 			}
-		}
-		if !followed {
-			pass.Reportf(r.Pos(),
-				"os.Rename on the durability path is not followed by a parent-directory fsync: call syncDir(dir) after the rename, or the entry can vanish on crash")
 		}
 	}
 }

@@ -23,15 +23,17 @@
 //     registration sites, every StartSpan ended, engine handlers
 //     answering errors through the unified envelope only.
 //
-// The per-function checks (rand, timenow, maporder, locks, gofunc,
-// spanend) are queries over the facts engine (facts.go): its one
+// Every analyzer is a query over the facts engine (facts.go): its one
 // statement walk records, per function body and function literal —
-// package-level initializers included — the nondeterminism source
-// calls, the ordered writes inside map ranges with their sort status,
-// the blocking operations met under a held mutex, the Lock/Unlock
-// receivers and the go statements, and those analyzers only filter
-// the records. The interprocedural analyzers (lockorder, ctxflow,
-// nondetflow, closeleak) read the summaries the same walk feeds.
+// package-level initializers included — every call expression with
+// its frame, the nondeterminism source calls, the ordered writes
+// inside map ranges with their sort status, the blocking operations
+// met under a held mutex, the Lock/Unlock receivers and the go
+// statements. The per-function checks (rand, timenow, maporder, locks,
+// gofunc, metricname, spanend, errenvelope, fsyncdir,
+// tracepropagation) only filter those records; the interprocedural
+// ones (lockorder, ctxflow, nondetflow, closeleak) read the summaries
+// the same walk feeds.
 //
 // False positives are suppressed in place with
 //
@@ -118,47 +120,26 @@ type Suppression struct {
 	Message  string `json:"message"`
 }
 
-// Analyzer is one named check. Exactly one of Run and RunModule is
-// set: Run sees one package at a time, RunModule sees the whole
-// module through the facts engine.
+// Analyzer is one named check: a query over the module's facts.
 type Analyzer struct {
 	// Name is the flag / directive name ("maporder").
 	Name string
 	// Doc is the one-line description printed by pdflint -list.
 	Doc string
-	// Run inspects pass.Pkg and reports findings via pass.Reportf.
-	Run func(pass *Pass)
 	// RunModule inspects the whole module's facts: the per-frame
-	// records (rand, timenow, maporder, locks, gofunc, spanend) and the
-	// interprocedural summaries (lockorder, ctxflow, nondetflow,
-	// closeleak).
+	// records (calls, nondeterminism sources, map-range sinks, locks,
+	// go statements) and the interprocedural summaries (lockorder,
+	// ctxflow, nondetflow, closeleak).
 	RunModule func(mp *ModulePass)
 }
 
-// Pass is one (analyzer, package) execution.
+// Pass is the type-information view of one package the analyzers'
+// helpers resolve identifiers and expressions through.
 type Pass struct {
-	Analyzer *Analyzer
-	Pkg      *Package
-	Config   *Config
-
-	diags []Diagnostic
+	Pkg *Package
 }
 
-// Reportf records a diagnostic at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Pkg.Fset.Position(pos)
-	p.diags = append(p.diags, Diagnostic{
-		Pos:      position,
-		File:     position.Filename,
-		Line:     position.Line,
-		Col:      position.Column,
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// ModulePass is one module-wide analyzer execution over the computed
-// facts.
+// ModulePass is one analyzer execution over the computed facts.
 type ModulePass struct {
 	Analyzer *Analyzer
 	Facts    *Facts
@@ -422,33 +403,32 @@ func Select(enable, disable string) ([]*Analyzer, error) {
 type Result struct {
 	Diags      []Diagnostic
 	Suppressed []Suppression
-	// Facts is the interprocedural fact base, present when a module
-	// analyzer ran (pdflint -facts dumps it).
+	// Facts is the fact base the analyzers queried (pdflint -facts
+	// dumps it).
 	Facts *Facts
 }
 
-// Run executes the analyzers over the packages, applies //lint:ignore
-// suppressions, and returns the sorted result. Per-package analyzers
-// run first; when any module-wide analyzer is selected the facts
-// engine runs once and every module analyzer shares its call graph
-// and summaries.
+// Run builds the facts once, runs every analyzer as a query over
+// them, applies //lint:ignore suppressions, and returns the sorted
+// result.
 func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) *Result {
 	if cfg == nil {
 		cfg = DefaultConfig()
 	}
-	res := &Result{}
-	// Ignore directives are collected module-wide up front: module
-	// analyzers position findings in any file, so matching must not
-	// depend on which package loop we are in. File names are unique
-	// across packages, so merging is safe.
+	res := &Result{Facts: BuildFacts(pkgs, cfg)}
+	// Findings may sit in any file, so ignore directives are collected
+	// module-wide. File names are unique across packages, so merging
+	// is safe.
 	all := &ignoreSet{byFileLine: make(map[string]map[int]*ignoreDirective)}
 	for _, pkg := range pkgs {
 		for file, lines := range collectIgnores(pkg).byFileLine {
 			all.byFileLine[file] = lines
 		}
 	}
-	sift := func(diags []Diagnostic) {
-		for _, d := range diags {
+	for _, a := range analyzers {
+		mp := &ModulePass{Analyzer: a, Facts: res.Facts, Config: cfg}
+		a.RunModule(mp)
+		for _, d := range mp.diags {
 			if reason, ok := all.match(d); ok {
 				res.Suppressed = append(res.Suppressed, Suppression{
 					File: d.File, Line: d.Line, Analyzer: d.Analyzer,
@@ -457,27 +437,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer, cfg *Config) *Result {
 				continue
 			}
 			res.Diags = append(res.Diags, d)
-		}
-	}
-	var modAnalyzers []*Analyzer
-	for _, a := range analyzers {
-		if a.RunModule != nil {
-			modAnalyzers = append(modAnalyzers, a)
-			continue
-		}
-		for _, pkg := range pkgs {
-			pass := &Pass{Analyzer: a, Pkg: pkg, Config: cfg}
-			a.Run(pass)
-			sift(pass.diags)
-		}
-	}
-	if len(modAnalyzers) > 0 {
-		facts := BuildFacts(pkgs, cfg)
-		res.Facts = facts
-		for _, a := range modAnalyzers {
-			mp := &ModulePass{Analyzer: a, Facts: facts, Config: cfg}
-			a.RunModule(mp)
-			sift(mp.diags)
 		}
 	}
 	sortDiags(res.Diags)

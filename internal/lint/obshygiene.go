@@ -30,53 +30,51 @@ var obsConstructors = map[string]int{
 // exposition never re-validates at scrape time) matching the
 // Prometheus text-format grammar, and vector label names must match
 // the label grammar. A malformed name silently corrupts the whole
-// exposition for every scraper.
+// exposition for every scraper. It is a query over the calls the
+// facts walker records, package-level initializers included.
 var AnalyzerMetricName = &Analyzer{
-	Name: "metricname",
-	Doc:  "non-constant or grammar-violating Prometheus metric/label name at an obs registration site",
-	Run:  runMetricName,
+	Name:      "metricname",
+	Doc:       "non-constant or grammar-violating Prometheus metric/label name at an obs registration site",
+	RunModule: queryMetricName,
 }
 
-func runMetricName(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, isCall := n.(*ast.CallExpr)
-			if !isCall {
-				return true
-			}
-			name, ok := obsConstructorCall(pass, file, call)
+func queryMetricName(mp *ModulePass) {
+	for _, n := range mp.Facts.walked {
+		pass := &Pass{Pkg: n.Pkg}
+		for _, fc := range n.calls {
+			call := fc.call
+			name, ok := obsConstructorCall(mp.Config, pass, n.File, call)
 			if !ok {
-				return true
+				continue
 			}
 			argIdx := obsConstructors[name]
 			if len(call.Args) <= argIdx {
-				return true
+				continue
 			}
 			arg := call.Args[argIdx]
 			metric, isConst := constString(pass, arg)
 			if !isConst {
-				pass.Reportf(arg.Pos(),
+				mp.Report(arg.Pos(), nil,
 					"obs.%s metric name must be a constant-foldable string (the registry never re-validates at scrape time)", name)
 			} else if !metricNameRE.MatchString(metric) {
-				pass.Reportf(arg.Pos(),
+				mp.Report(arg.Pos(), nil,
 					"metric name %q does not match the Prometheus grammar [a-zA-Z_:][a-zA-Z0-9_:]*", metric)
 			}
-			checkLabelArgs(pass, name, call)
-			return true
-		})
+			checkLabelArgs(mp, pass, name, call)
+		}
 	}
 }
 
 // obsConstructorCall matches both obs.NewCounterVec(...) from other
 // packages and plain NewCounterVec(...) inside internal/obs itself.
-func obsConstructorCall(pass *Pass, file *ast.File, call *ast.CallExpr) (string, bool) {
+func obsConstructorCall(cfg *Config, pass *Pass, file *ast.File, call *ast.CallExpr) (string, bool) {
 	if pkgPath, name, ok := pkgFuncCall(pass, file, call); ok {
-		if _, known := obsConstructors[name]; known && pkgPath == pass.Config.ObsPkg {
+		if _, known := obsConstructors[name]; known && pkgPath == cfg.ObsPkg {
 			return name, true
 		}
 		return "", false
 	}
-	if pass.Pkg.PkgPath != pass.Config.ObsPkg {
+	if pass.Pkg.PkgPath != cfg.ObsPkg {
 		return "", false
 	}
 	id, isIdent := call.Fun.(*ast.Ident)
@@ -91,7 +89,7 @@ func obsConstructorCall(pass *Pass, file *ast.File, call *ast.CallExpr) (string,
 
 // checkLabelArgs validates the variadic label names of the *Vec
 // constructors.
-func checkLabelArgs(pass *Pass, ctor string, call *ast.CallExpr) {
+func checkLabelArgs(mp *ModulePass, pass *Pass, ctor string, call *ast.CallExpr) {
 	var labelStart int
 	switch ctor {
 	case "NewCounterVec", "NewGaugeVec":
@@ -104,11 +102,11 @@ func checkLabelArgs(pass *Pass, ctor string, call *ast.CallExpr) {
 	for i := labelStart; i < len(call.Args); i++ {
 		label, isConst := constString(pass, call.Args[i])
 		if !isConst {
-			pass.Reportf(call.Args[i].Pos(), "obs.%s label name must be a constant-foldable string", ctor)
+			mp.Report(call.Args[i].Pos(), nil, "obs.%s label name must be a constant-foldable string", ctor)
 			continue
 		}
 		if !labelNameRE.MatchString(label) {
-			pass.Reportf(call.Args[i].Pos(),
+			mp.Report(call.Args[i].Pos(), nil,
 				"label name %q does not match the Prometheus grammar [a-zA-Z_][a-zA-Z0-9_]*", label)
 		}
 	}
@@ -144,45 +142,44 @@ var AnalyzerSpanEnd = &Analyzer{
 
 func querySpanEnd(mp *ModulePass) {
 	for _, n := range mp.Facts.walked {
-		pass := &Pass{Analyzer: mp.Analyzer, Pkg: n.Pkg, Config: mp.Config}
+		pass := &Pass{Pkg: n.Pkg}
 		for _, fr := range n.frames {
-			spanEndFrame(pass, n.File, fr.body)
+			spanEndFrame(mp, pass, n.File, fr.body)
 		}
-		mp.diags = append(mp.diags, pass.diags...)
 	}
 }
 
-func spanEndFrame(pass *Pass, file *ast.File, body *ast.BlockStmt) {
+func spanEndFrame(mp *ModulePass, pass *Pass, file *ast.File, body *ast.BlockStmt) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if _, isLit := n.(*ast.FuncLit); isLit && n.Pos() != body.Pos() {
 			return false // analyzed as its own frame
 		}
 		switch n := n.(type) {
 		case *ast.ExprStmt:
-			if call, isCall := n.X.(*ast.CallExpr); isCall && isStartSpan(pass, file, call) {
-				pass.Reportf(call.Pos(), "StartSpan result discarded: the span can never End")
+			if call, isCall := n.X.(*ast.CallExpr); isCall && isStartSpan(mp.Config, pass, file, call) {
+				mp.Report(call.Pos(), nil, "StartSpan result discarded: the span can never End")
 			}
 		case *ast.AssignStmt:
 			for _, rhs := range n.Rhs {
 				call, isCall := rhs.(*ast.CallExpr)
-				if !isCall || !isStartSpan(pass, file, call) {
+				if !isCall || !isStartSpan(mp.Config, pass, file, call) {
 					continue
 				}
 				if len(n.Rhs) != 1 || len(n.Lhs) != 2 {
 					continue
 				}
-				checkSpanLHS(pass, body, n.Lhs[1], call)
+				checkSpanLHS(mp, pass, body, n.Lhs[1], call)
 			}
 		}
 		return true
 	})
 }
 
-func checkSpanLHS(pass *Pass, body *ast.BlockStmt, lhs ast.Expr, call *ast.CallExpr) {
+func checkSpanLHS(mp *ModulePass, pass *Pass, body *ast.BlockStmt, lhs ast.Expr, call *ast.CallExpr) {
 	switch lhs := lhs.(type) {
 	case *ast.Ident:
 		if lhs.Name == "_" {
-			pass.Reportf(call.Pos(), "span assigned to _: it can never End")
+			mp.Report(call.Pos(), nil, "span assigned to _: it can never End")
 			return
 		}
 		obj := pass.ObjectOf(lhs)
@@ -193,7 +190,7 @@ func checkSpanLHS(pass *Pass, body *ast.BlockStmt, lhs ast.Expr, call *ast.CallE
 			return // struct field via composite literal — out of scope
 		}
 		if !spanEnded(pass, body, obj) {
-			pass.Reportf(call.Pos(),
+			mp.Report(call.Pos(), nil,
 				"span %s is never .End()ed in this function (use defer %s.End() or end it on every path)",
 				lhs.Name, lhs.Name)
 		}
@@ -229,41 +226,35 @@ func spanEnded(pass *Pass, body *ast.BlockStmt, obj types.Object) bool {
 	return ended
 }
 
-func isStartSpan(pass *Pass, file *ast.File, call *ast.CallExpr) bool {
+func isStartSpan(cfg *Config, pass *Pass, file *ast.File, call *ast.CallExpr) bool {
 	pkgPath, name, ok := pkgFuncCall(pass, file, call)
-	if ok {
-		return name == "StartSpan" && pkgPath == pass.Config.ObsPkg
-	}
-	return false
+	return ok && name == "StartSpan" && pkgPath == cfg.ObsPkg
 }
 
 // AnalyzerErrEnvelope forbids http.Error in the engine package: every
 // error response must go through the unified {"error":{code,...}}
 // envelope helper so clients always get a machine-readable code and
 // Retry-After semantics. http.Error writes text/plain with none of
-// that, silently breaking every client that switches on the code.
+// that, silently breaking every client that switches on the code. It
+// is a query over the calls the facts walker records.
 var AnalyzerErrEnvelope = &Analyzer{
-	Name: "errenvelope",
-	Doc:  "http.Error in an engine HTTP handler instead of the unified error envelope",
-	Run:  runErrEnvelope,
+	Name:      "errenvelope",
+	Doc:       "http.Error in an engine HTTP handler instead of the unified error envelope",
+	RunModule: queryErrEnvelope,
 }
 
-func runErrEnvelope(pass *Pass) {
-	if !pass.Config.Engine(pass.Pkg) {
-		return
-	}
-	for _, file := range pass.Pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, isCall := n.(*ast.CallExpr)
-			if !isCall {
-				return true
-			}
-			pkgPath, name, ok := pkgFuncCall(pass, file, call)
+func queryErrEnvelope(mp *ModulePass) {
+	for _, n := range mp.Facts.walked {
+		if !mp.Config.Engine(n.Pkg) {
+			continue
+		}
+		pass := &Pass{Pkg: n.Pkg}
+		for _, fc := range n.calls {
+			pkgPath, name, ok := pkgFuncCall(pass, n.File, fc.call)
 			if ok && pkgPath == "net/http" && name == "Error" {
-				pass.Reportf(call.Pos(),
+				mp.Report(fc.call.Pos(), nil,
 					"http.Error bypasses the /v1 error envelope: use writeError (code + message + retry_after_ms) instead")
 			}
-			return true
-		})
+		}
 	}
 }

@@ -1,9 +1,6 @@
 package lint
 
-import (
-	"go/ast"
-	"strings"
-)
+import "strings"
 
 // AnalyzerTracePropagation polices context propagation on the
 // cluster's outbound requests: every backend-bound HTTP request must
@@ -15,38 +12,27 @@ import (
 // newOutboundRequest; any function whose name contains
 // "outboundrequest" counts, case-insensitive). A raw NewRequest
 // elsewhere ships a request with no trace identity, and the backend's
-// spans silently detach from the caller's trace.
+// spans silently detach from the caller's trace. It is a query over
+// the calls the facts walker records per function declaration
+// (literals nested in it included).
 var AnalyzerTracePropagation = &Analyzer{
-	Name: "tracepropagation",
-	Doc:  "raw http.NewRequest in a cluster package outside the trace-header-injecting helper",
-	Run:  runTracePropagation,
+	Name:      "tracepropagation",
+	Doc:       "raw http.NewRequest in a cluster package outside the trace-header-injecting helper",
+	RunModule: queryTracePropagation,
 }
 
-func runTracePropagation(pass *Pass) {
-	if !pass.Config.Cluster(pass.Pkg) {
-		return
-	}
-	for _, file := range pass.Pkg.Files {
-		for _, decl := range file.Decls {
-			fd, isFunc := decl.(*ast.FuncDecl)
-			if !isFunc || fd.Body == nil {
-				continue
+func queryTracePropagation(mp *ModulePass) {
+	for _, n := range mp.Facts.walked {
+		if !mp.Config.Cluster(n.Pkg) || n.Decl == nil || isOutboundHelper(n.Decl.Name.Name) {
+			continue // package-level initializers and the one sanctioned construction site
+		}
+		pass := &Pass{Pkg: n.Pkg}
+		for _, fc := range n.calls {
+			pkgPath, name, ok := pkgFuncCall(pass, n.File, fc.call)
+			if ok && pkgPath == "net/http" && strings.HasPrefix(name, "NewRequest") {
+				mp.Report(fc.call.Pos(), nil,
+					"http.%s bypasses the outbound-request helper: build backend requests with newOutboundRequest so they carry traceparent and X-Request-ID", name)
 			}
-			if isOutboundHelper(fd.Name.Name) {
-				continue // the one sanctioned construction site
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, isCall := n.(*ast.CallExpr)
-				if !isCall {
-					return true
-				}
-				pkgPath, name, ok := pkgFuncCall(pass, file, call)
-				if ok && pkgPath == "net/http" && strings.HasPrefix(name, "NewRequest") {
-					pass.Reportf(call.Pos(),
-						"http.%s bypasses the outbound-request helper: build backend requests with newOutboundRequest so they carry traceparent and X-Request-ID", name)
-				}
-				return true
-			})
 		}
 	}
 }

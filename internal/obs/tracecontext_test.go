@@ -118,3 +118,24 @@ func TestSampleDecision(t *testing.T) {
 		t.Fatalf("50%% sampling kept %d of %d", kept, n)
 	}
 }
+
+// FuzzParseTraceparent: parsing never panics, and whatever it accepts
+// is a valid context whose rendered header parses back to itself.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, ok := ParseTraceparent(s)
+		if !ok {
+			if tc != (TraceContext{}) {
+				t.Fatalf("rejected %q but returned %+v", s, tc)
+			}
+			return
+		}
+		if !tc.Valid() {
+			t.Fatalf("accepted %q as invalid context %+v", s, tc)
+		}
+		back, ok := ParseTraceparent(tc.Traceparent())
+		if !ok || back != tc {
+			t.Fatalf("%q: %+v renders %q, which parses back to %+v (ok=%v)", s, tc, tc.Traceparent(), back, ok)
+		}
+	})
+}

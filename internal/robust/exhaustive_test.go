@@ -164,9 +164,56 @@ func TestUntestabilityProofsExhaustive(t *testing.T) {
 	}
 }
 
+// FuzzScreen checks Screen end to end on a random small circuit per
+// input: over all 4^n two-pattern tests, a test covers one of a
+// fault's kept alternatives iff the gate-walk oracle accepts it, so an
+// eliminated fault (no kept alternative) has no robust test at all.
+func FuzzScreen(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64) {
+		c := smallRandomCircuit(t, seed)
+		res, err := pathenum.Enumerate(c, pathenum.Config{Mode: pathenum.DistancePruned})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, eliminated := Screen(c, res.Faults)
+		if len(kept)+eliminated != len(res.Faults) {
+			t.Fatalf("kept %d + eliminated %d != %d faults", len(kept), eliminated, len(res.Faults))
+		}
+		// Screen preserves input order: line the kept faults up with
+		// the enumerated ones, leaving eliminated faults without alts.
+		alts := make([][]Cube, len(res.Faults))
+		k := 0
+		for i := range res.Faults {
+			if k < len(kept) && kept[k].Fault.Key() == res.Faults[i].Key() {
+				alts[i] = kept[k].Alts
+				k++
+			}
+		}
+		if k != len(kept) {
+			t.Fatalf("only %d of %d kept faults found in input order", k, len(kept))
+		}
+		enumerateAllTests(len(c.PIs), func(tp circuit.TwoPattern) {
+			sim := tp.Simulate(c)
+			for i := range res.Faults {
+				covered := false
+				for j := range alts[i] {
+					if alts[i][j].CoveredBy(sim) {
+						covered = true
+						break
+					}
+				}
+				if oracle := walkOracle(c, &res.Faults[i], sim); covered != oracle {
+					t.Fatalf("seed %d fault %s (kept alts %d) test %v: covered=%v oracle=%v",
+						seed, res.Faults[i].Format(c), len(alts[i]), tp, covered, oracle)
+				}
+			}
+		})
+	})
+}
+
 // smallRandomCircuit builds a circuit with at most 6 inputs so that
 // 4^n enumeration stays cheap.
-func smallRandomCircuit(t *testing.T, seed int64) *circuit.Circuit {
+func smallRandomCircuit(t testing.TB, seed int64) *circuit.Circuit {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	b := circuit.NewBuilder("small")
